@@ -169,25 +169,6 @@ def _to_csv(doc) -> str:
     return "\n".join(lines)
 
 
-def _table_for(args, p, n) -> SimpleTable:
-    budget = getattr(args, "budget", None) or DEFAULT_BUDGET
-    table = SimpleTable(p, n, budget=budget)
-    cache_dir = getattr(args, "cache", None) or os.environ.get("SCHURKIT_CACHE")
-    if cache_dir:
-        path = os.path.join(cache_dir, f"simple_p{p}_n{n}.jsonl")
-        if os.path.exists(path):
-            table.load(path)
-        table._persist_path = path
-    return table
-
-
-def _persist(table: SimpleTable) -> None:
-    path = getattr(table, "_persist_path", None)
-    if path:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        table.save(path)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="schurkit",
@@ -261,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     of.add_argument("--spec", required=True, help='e.g. "S:4,S:3" or "Sbar:2,Wedge:1"')
     of.add_argument("--cache", default=None, help="cache directory (or SCHURKIT_CACHE)")
     of.add_argument("--budget", type=int, default=None)
-    of.add_argument("--threads", type=int, default=1)
     of.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     of.add_argument("--out", default=None)
 
@@ -279,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--degree", type=int, required=True)
     en.add_argument("--cache", default=None)
     en.add_argument("--budget", type=int, default=None)
-    en.add_argument("--threads", type=int, default=1)
     en.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     en.add_argument("--out", default=None)
 
@@ -302,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--bound", type=int, default=30, help="degree bound for the combinatorial suite")
     ve.add_argument("--cache", default=None)
     ve.add_argument("--budget", type=int, default=None)
-    ve.add_argument("--threads", type=int, default=1)
     ve.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     ve.add_argument("--out", default=None)
 
@@ -366,6 +344,10 @@ def _dispatch(args) -> int:
         _emit(doc, args)
         return 0
 
+    # the remaining subcommands are oracle-backed and share these settings
+    budget = args.budget or DEFAULT_BUDGET
+    cache_dir = args.cache or os.environ.get("SCHURKIT_CACHE")
+
     if args.command == "oracle":
         spec = []
         for item in args.spec.split(","):
@@ -373,20 +355,20 @@ def _dispatch(args) -> int:
             if kind not in ("S", "Sbar", "Wedge") or not r.isdigit():
                 raise SchurkitError(f"bad factor spec {item!r}; expected Kind:degree")
             spec.append((kind, int(r)))
-        table = _table_for(args, args.p, args.n)
+        table = SimpleTable(args.p, args.n, budget, cache_dir)
         factors = composition_factors(spec, args.p, args.n, table)
         chi = product_char(spec, args.p, args.n)
         doc = {
             "factors": {_pkey(lam): m for lam, m in sorted(factors.items(), reverse=True)},
             "dimCheck": factor_dimensions_check(factors, chi, table),
         }
-        _persist(table)
+        table.persist()
         _emit(doc, args)
         return 0
 
     if args.command == "enumerate":
-        table = _table_for(args, args.p, args.n)
-        labels = enumerate_factors(args.family, args.degree, args.p, args.n, table, threads=args.threads)
+        table = SimpleTable(args.p, args.n, budget, cache_dir)
+        labels = enumerate_factors(args.family, args.degree, args.p, args.n, table)
         doc = {
             "family": args.family,
             "p": args.p,
@@ -394,14 +376,14 @@ def _dispatch(args) -> int:
             "degree": args.degree,
             "factors": [list(lam) for lam in sorted(labels, reverse=True)],
         }
-        _persist(table)
+        table.persist()
         _emit(doc, args)
         return 0
 
     if args.command == "verify":
         reports = []
         if args.tier:
-            reports = run_tier(args.tier, threads=args.threads)
+            reports = run_tier(args.tier, budget, cache_dir)
         elif args.suite == "combinatorial":
             if args.p is None:
                 raise SchurkitError("combinatorial suite needs --p")
@@ -409,12 +391,9 @@ def _dispatch(args) -> int:
         elif args.suite:
             if args.p is None or args.n is None or args.rmax is None:
                 raise SchurkitError(f"suite {args.suite} needs --p, --n and --rmax")
-            table = _table_for(args, args.p, args.n)
-            if args.suite == "oracle-self":
-                reports = [SUITES[args.suite](args.p, args.n, args.rmax, table)]
-            else:
-                reports = [SUITES[args.suite](args.p, args.n, args.rmax, table, args.threads)]
-            _persist(table)
+            table = SimpleTable(args.p, args.n, budget, cache_dir)
+            reports = [SUITES[args.suite](args.p, args.n, args.rmax, table)]
+            table.persist()
         else:
             raise SchurkitError("verify needs --suite or --tier")
         doc = (

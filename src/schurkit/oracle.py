@@ -31,14 +31,14 @@ which bounds the dimension of the corresponding Weyl weight space.
 from __future__ import annotations
 
 import json
-import threading
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .characters import SymChar, frobenius_twist, kostka, power_char
+from .characters import SymChar, kostka, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded
-from .partitions import Partition, is_restricted, partition, restricted_split, transpose
+from .partitions import Partition, partition, transpose
 
 DEFAULT_BUDGET = 300_000
 
@@ -61,10 +61,6 @@ class TensorVector:
     p: int
     cols: tuple  # column heights, weakly decreasing
     entries: dict
-
-    @property
-    def r(self) -> int:
-        return sum(self.cols)
 
     def weight(self) -> Optional[tuple]:
         """Common content of the words, as a length-n count vector."""
@@ -273,46 +269,33 @@ def _simple_char_by_gram(
 class SimpleTable:
     """Cache of simple characters for one (p, n).
 
-    Thread-safe: computation happens outside the lock, publication is
-    first-writer-wins, and a divergent duplicate result is a fatal error.
-    With use_steinberg the character of a non-restricted weight is assembled
-    from the Frobenius factorization instead of Gram ranks; that path is off
-    by default so the factorization stays an independent check.
+    With cache_dir, the table starts from the file simple_p{p}_n{n}.jsonl in
+    that directory when it exists, and persist() writes the table back there.
     """
 
-    def __init__(self, p: int, n: int, budget: int = DEFAULT_BUDGET, use_steinberg: bool = False):
+    def __init__(self, p: int, n: int, budget: int = DEFAULT_BUDGET, cache_dir: str | os.PathLike | None = None):
         self.p = p
         self.n = n
         self.budget = budget
-        self.use_steinberg = use_steinberg
         self.cache: dict[Partition, SymChar] = {}
         self.hits = 0
         self.misses = 0
         self.max_weight_dim = 0
-        self._lock = threading.Lock()
+        self.path = None if cache_dir is None else os.path.join(cache_dir, f"simple_p{p}_n{n}.jsonl")
+        if self.path is not None and os.path.exists(self.path):
+            self.load(self.path)
+        self._saved = len(self.cache)
 
     def char(self, lam: Partition) -> SymChar:
         lam = tuple(lam)
-        with self._lock:
-            cached = self.cache.get(lam)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        if self.use_steinberg and lam and not is_restricted(lam, self.p):
-            lam0, lbar = restricted_split(lam, self.p)
-            chi = self.char(lam0) * frobenius_twist(self.char(lbar), self.p)
-            dim = 0
-        else:
-            chi, dim = _simple_char_by_gram(lam, self.p, self.n, self.budget)
-        with self._lock:
-            prior = self.cache.get(lam)
-            if prior is not None:
-                if prior != chi:
-                    raise AssertionError(f"divergent simple characters for {lam}")
-                return prior
-            self.cache[lam] = chi
-            self.max_weight_dim = max(self.max_weight_dim, dim)
+        cached = self.cache.get(lam)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        chi, dim = _simple_char_by_gram(lam, self.p, self.n, self.budget)
+        self.cache[lam] = chi
+        self.max_weight_dim = max(self.max_weight_dim, dim)
         return chi
 
     def stats(self) -> dict:
@@ -325,15 +308,37 @@ class SimpleTable:
 
     # --- persistence: one JSON record per line ---------------------------------
 
+    def persist(self) -> None:
+        """Save the table to its cache file if it gained characters since it
+        was loaded or last saved (characters are only ever added)."""
+        if self.path is None or len(self.cache) == self._saved:
+            return
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        self.save(self.path)
+        self._saved = len(self.cache)
+
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for lam in sorted(self.cache):
-                chi = self.cache[lam]
-                rec = {
-                    "lambda": list(lam),
-                    "char": {json.dumps(list(mu), separators=(",", ":")): c for mu, c in sorted(chi.coeffs.items())},
-                }
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        """Write every cached character to path.  The records go to a
+        temporary file in the same directory that then replaces path, so an
+        interrupted save leaves the previous file as it was."""
+        path = os.fspath(path)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        fh = open(tmp, "w")
+        try:
+            with fh:
+                for lam in sorted(self.cache):
+                    chi = self.cache[lam]
+                    rec = {
+                        "lambda": list(lam),
+                        "char": {json.dumps(list(mu), separators=(",", ":")): c for mu, c in sorted(chi.coeffs.items())},
+                    }
+                    fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load(self, path) -> int:
         count = 0
@@ -438,20 +443,11 @@ def enumerate_factors(
     p: int,
     n: int,
     table: SimpleTable | None = None,
-    threads: int = 1,
 ) -> set:
     """Union of composition-factor sets over all degree splits of a family."""
     if table is None:
         table = SimpleTable(p, n)
-    splits = list(_degree_splits(family, r, n))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: composition_factors(s, p, n, table), splits))
-    else:
-        results = [composition_factors(s, p, n, table) for s in splits]
     out: set = set()
-    for factors in results:
-        out.update(factors)
+    for split in _degree_splits(family, r, n):
+        out.update(composition_factors(split, p, n, table))
     return out

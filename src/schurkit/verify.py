@@ -22,7 +22,7 @@ from .classify import (
     is_2special,
     standard_parses,
 )
-from .oracle import SimpleTable, enumerate_factors
+from .oracle import DEFAULT_BUDGET, SimpleTable, enumerate_factors
 from .partitions import (
     add,
     dagger,
@@ -83,13 +83,23 @@ class SuiteReport:
         return out
 
 
-def _set_equality_suite(name, predicate, family, p, n, rmax, table, threads=1):
+def _stats_since(table: SimpleTable, before: dict) -> dict:
+    """The table's stats, with hits and misses counted from the snapshot
+    before, so a suite reports only the oracle work it caused."""
+    stats = table.stats()
+    for key in ("cacheHits", "cacheMisses"):
+        stats[key] -= before[key]
+    return stats
+
+
+def _set_equality_suite(name, predicate, family, p, n, rmax, table):
     start = time.time()
     if table is None:
         table = SimpleTable(p, n)
+    before = table.stats()
     discrepancies = []
     for r in range(rmax + 1):
-        oracle_set = enumerate_factors(family, r, p, n, table, threads=threads)
+        oracle_set = enumerate_factors(family, r, p, n, table)
         predicted = {lam for lam in partitions_of(r, max_len=n) if predicate(lam, p)}
         for lam in sorted(oracle_set | predicted, reverse=True):
             if (lam in predicted) != (lam in oracle_set):
@@ -107,29 +117,23 @@ def _set_equality_suite(name, predicate, family, p, n, rmax, table, threads=1):
         verdict=not discrepancies,
         discrepancies=discrepancies,
         elapsed=time.time() - start,
-        oracle_stats=table.stats(),
+        oracle_stats=_stats_since(table, before),
     )
 
 
-def suite_thm_2good(
-    p: int, n: int, rmax: int, table: SimpleTable | None = None, threads: int = 1
-) -> SuiteReport:
+def suite_thm_2good(p: int, n: int, rmax: int, table: SimpleTable | None = None) -> SuiteReport:
     """Factors of the twofold symmetric power are exactly the standard partitions."""
-    return _set_equality_suite("thm-2good", is_2good, "SS", p, n, rmax, table, threads)
+    return _set_equality_suite("thm-2good", is_2good, "SS", p, n, rmax, table)
 
 
-def suite_thm_21special(
-    p: int, n: int, rmax: int, table: SimpleTable | None = None, threads: int = 1
-) -> SuiteReport:
+def suite_thm_21special(p: int, n: int, rmax: int, table: SimpleTable | None = None) -> SuiteReport:
     """Factors of truncated x truncated x exterior are the mu + omega_s partitions."""
-    return _set_equality_suite("thm-21special", is_21special, "SbarSbarWedge", p, n, rmax, table, threads)
+    return _set_equality_suite("thm-21special", is_21special, "SbarSbarWedge", p, n, rmax, table)
 
 
-def suite_1special(
-    p: int, n: int, rmax: int, table: SimpleTable | None = None, threads: int = 1
-) -> SuiteReport:
+def suite_1special(p: int, n: int, rmax: int, table: SimpleTable | None = None) -> SuiteReport:
     """Factors of the truncated symmetric power are the (p-1)^k a partitions."""
-    return _set_equality_suite("1special", is_1special, "Sbar", p, n, rmax, table, threads)
+    return _set_equality_suite("1special", is_1special, "Sbar", p, n, rmax, table)
 
 
 # --- combinatorial invariants ---------------------------------------------------
@@ -458,6 +462,7 @@ def suite_oracle_self(p: int, n: int, rmax: int, table: SimpleTable | None = Non
     start = time.time()
     if table is None:
         table = SimpleTable(p, n)
+    before = table.stats()
     subs = oracle_self_checks(p, n, rmax, table)
     discrepancies = [d for rep in subs for d in rep.discrepancies]
     return SuiteReport(
@@ -466,7 +471,7 @@ def suite_oracle_self(p: int, n: int, rmax: int, table: SimpleTable | None = Non
         verdict=all(r.verdict for r in subs),
         discrepancies=discrepancies,
         elapsed=time.time() - start,
-        oracle_stats=table.stats(),
+        oracle_stats=_stats_since(table, before),
         sub_reports=subs,
     )
 
@@ -480,8 +485,11 @@ SUITES = {
 }
 
 
-def run_tier(tier: str, threads: int = 1) -> list:
-    """Run the whole battery for a tier; returns the list of reports."""
+def run_tier(tier: str, budget: int = DEFAULT_BUDGET, cache_dir: str | None = None) -> list:
+    """Run the whole battery for a tier; returns the list of reports.
+
+    Each (p, n) gets one table, shared by the suites that use it and
+    persisted after each of them when cache_dir is given."""
     grid = FAST_TIER if tier == "fast" else EXTENDED_TIER
     reports = []
     tables: dict = {}
@@ -492,9 +500,8 @@ def run_tier(tier: str, threads: int = 1) -> list:
                 reports.append(suite_combinatorial(p, bound))
             else:
                 p, n, rmax = cfg
-                table = tables.setdefault((p, n), SimpleTable(p, n))
-                if name == "oracle-self":
-                    reports.append(SUITES[name](p, n, rmax, table))
-                else:
-                    reports.append(SUITES[name](p, n, rmax, table, threads))
+                if (p, n) not in tables:
+                    tables[p, n] = SimpleTable(p, n, budget, cache_dir)
+                reports.append(SUITES[name](p, n, rmax, tables[p, n]))
+                tables[p, n].persist()
     return reports

@@ -1,7 +1,16 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
-from schurkit.cli import main
+import pytest
+
+from schurkit import verify
+from schurkit.cli import build_parser, main
+from schurkit.oracle import SimpleTable
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -144,11 +153,66 @@ def test_cache_roundtrip(tmp_path, capsys, monkeypatch):
     path = cache / "simple_p2_n2.jsonl"
     assert path.exists()
     before = path.read_text()
-    # a second run via the env var serves from and rewrites the same cache
+    # a second run via the env var serves from the same cache and leaves it as it was
     monkeypatch.setenv("SCHURKIT_CACHE", str(cache))
     code, out, _ = run_cli(capsys, "oracle", "factors", "--p", "2", "--n", "2", "--spec", "S:4")
     assert code == 0
     assert path.read_text() == before
+
+
+def test_cache_hit_does_not_rewrite(tmp_path, capsys, monkeypatch):
+    argv = ("oracle", "factors", "--p", "2", "--n", "2", "--spec", "S:4", "--cache", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    saves = []
+    monkeypatch.setattr(SimpleTable, "save", lambda self, path: saves.append(path))
+    assert run_cli(capsys, *argv)[0] == 0
+    assert saves == []
+
+
+def test_verify_suite_uses_cache(tmp_path, capsys):
+    code, _, _ = run_cli(
+        capsys, "verify", "--suite", "1special", "--p", "3", "--n", "2", "--rmax", "4", "--cache", str(tmp_path)
+    )
+    assert code == 0
+    assert [f.name for f in tmp_path.iterdir()] == ["simple_p3_n2.jsonl"]
+
+
+def test_verify_tier_honours_budget(capsys):
+    # lambda = (4) at p=2, n=2, early in the fast tier, needs 6 words
+    code, out, err = run_cli(capsys, "verify", "--tier", "fast", "--budget", "5")
+    assert code == 3
+    assert out == "" and "budget" in err
+
+
+def test_verify_tier_writes_one_cache_file_per_table(tmp_path, capsys, monkeypatch):
+    grid = {
+        "thm-2good": [(2, 2, 4), (3, 2, 4)],
+        "1special": [(2, 2, 4), (3, 1, 4)],
+        "combinatorial": [(3, 6)],
+        "oracle-self": [(2, 2, 4)],
+    }
+    monkeypatch.setattr(verify, "FAST_TIER", grid)
+    code, out, _ = run_cli(capsys, "verify", "--tier", "fast", "--cache", str(tmp_path))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    names = sorted(f.name for f in tmp_path.iterdir())
+    assert names == ["simple_p2_n2.jsonl", "simple_p3_n1.jsonl", "simple_p3_n2.jsonl"]
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--family", "SS", "--p", "2", "--n", "3", "--degree", "3", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    text = README.read_text()
+    section = text[text.index("## Command line") :]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("schurkit ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_budget_exit_code(capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from schurkit.characters import decompose_schur, frobenius_twist, kostka, power_char, schur_char
@@ -123,13 +125,6 @@ def test_steinberg_factorization():
             assert tab.char(lam) == expect, lam
 
 
-def test_steinberg_accelerated_table_agrees():
-    plain = SimpleTable(3, 3)
-    fast = SimpleTable(3, 3, use_steinberg=True)
-    for lam in partitions_up_to(8, max_len=3):
-        assert plain.char(lam) == fast.char(lam)
-
-
 def test_decompose_simples_examples():
     tab = SimpleTable(2, 2)
     assert decompose_simples(schur_char((2,), 2), 2, tab) == {(2,): 1, (1, 1): 1}
@@ -232,10 +227,46 @@ def test_table_cache_and_persistence(tmp_path):
     assert fresh.char((3, 2)) == tab.char((3, 2))
 
 
-def test_enumerate_factors_threaded_matches_sequential():
-    tab1 = SimpleTable(2, 3)
-    tab2 = SimpleTable(2, 3)
-    for r in range(6):
-        seq = enumerate_factors("SS", r, 2, 3, tab1)
-        par = enumerate_factors("SS", r, 2, 3, tab2, threads=4)
-        assert seq == par
+def test_table_from_cache_dir_persists_only_changes(tmp_path, monkeypatch):
+    tab = SimpleTable(2, 2, cache_dir=tmp_path / "cache")
+    tab.char((3, 1))
+    tab.persist()
+    path = tmp_path / "cache" / "simple_p2_n2.jsonl"
+    assert path.exists()
+
+    saves = []
+    monkeypatch.setattr(SimpleTable, "save", lambda self, p: saves.append(p))
+    again = SimpleTable(2, 2, cache_dir=tmp_path / "cache")
+    assert again.cache == tab.cache
+    again.char((3, 1))
+    again.persist()
+    assert saves == []  # nothing new, nothing written
+    again.char((4,))
+    again.persist()
+    assert saves == [again.path]
+
+
+def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "chars.jsonl"
+    tab = SimpleTable(3, 2)
+    for lam in partitions_up_to(4, max_len=2):
+        tab.char(lam)
+    tab.save(path)
+    before = path.read_bytes()
+
+    for lam in partitions_up_to(6, max_len=2):
+        tab.char(lam)
+    real_dumps = json.dumps
+    calls = []
+
+    def failing_dumps(obj, **kw):
+        calls.append(obj)
+        if len(calls) > 5:  # fail after some records have been written
+            raise OSError("disk full")
+        return real_dumps(obj, **kw)
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    with pytest.raises(OSError):
+        tab.save(path)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["chars.jsonl"]

@@ -76,6 +76,16 @@ def test_oracle_self_suite():
     } <= names
 
 
+def test_oracle_stats_count_each_suite_alone():
+    table = SimpleTable(2, 2)
+    first = suite_1special(2, 2, 6, table)
+    second = suite_1special(2, 2, 6, table)
+    assert first.oracle_stats["cacheMisses"] > 0
+    assert second.oracle_stats["cacheMisses"] == 0
+    assert second.oracle_stats["cacheHits"] == first.oracle_stats["cacheHits"] + first.oracle_stats["cacheMisses"]
+    assert second.oracle_stats["cachedCharacters"] == first.oracle_stats["cachedCharacters"]
+
+
 def test_suites_are_deterministic():
     a = suite_thm_2good(2, 2, 6).to_dict()
     b = suite_thm_2good(2, 2, 6).to_dict()
