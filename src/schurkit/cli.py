@@ -44,6 +44,13 @@ def _pkey(lam) -> str:
     return json.dumps(list(lam), separators=(",", ":"))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
 def _parse_partition(text: str):
     try:
         data = json.loads(text)
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     of.add_argument("--n", type=int, required=True)
     of.add_argument("--spec", required=True, help='e.g. "S:4,S:3" or "Sbar:2,Wedge:1"')
     of.add_argument("--cache", default=None, help="cache directory (or SCHURKIT_CACHE)")
-    of.add_argument("--budget", type=int, default=None)
+    of.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="represented words per image")
     of.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     of.add_argument("--out", default=None)
 
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--n", type=int, required=True)
     en.add_argument("--degree", type=int, required=True)
     en.add_argument("--cache", default=None)
-    en.add_argument("--budget", type=int, default=None)
+    en.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="represented words per image")
     en.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     en.add_argument("--out", default=None)
 
@@ -280,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--rmax", "--degree", dest="rmax", type=int, default=None)
     ve.add_argument("--bound", type=int, default=30, help="degree bound for the combinatorial suite")
     ve.add_argument("--cache", default=None)
-    ve.add_argument("--budget", type=int, default=None)
+    ve.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="represented words per image")
     ve.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     ve.add_argument("--out", default=None)
 
@@ -344,8 +351,7 @@ def _dispatch(args) -> int:
         _emit(doc, args)
         return 0
 
-    # the remaining subcommands are oracle-backed and share these settings
-    budget = args.budget or DEFAULT_BUDGET
+    # the remaining subcommands are oracle-backed and share this setting
     cache_dir = args.cache or os.environ.get("SCHURKIT_CACHE")
 
     if args.command == "oracle":
@@ -355,20 +361,25 @@ def _dispatch(args) -> int:
             if kind not in ("S", "Sbar", "Wedge") or not r.isdigit():
                 raise SchurkitError(f"bad factor spec {item!r}; expected Kind:degree")
             spec.append((kind, int(r)))
-        table = SimpleTable(args.p, args.n, budget, cache_dir)
-        factors = composition_factors(spec, args.p, args.n, table)
-        chi = product_char(spec, args.p, args.n)
-        doc = {
-            "factors": {_pkey(lam): m for lam, m in sorted(factors.items(), reverse=True)},
-            "dimCheck": factor_dimensions_check(factors, chi, table),
-        }
-        table.persist()
+        table = SimpleTable(args.p, args.n, args.budget, cache_dir)
+        try:
+            factors = composition_factors(spec, args.p, args.n, table)
+            chi = product_char(spec, args.p, args.n)
+            doc = {
+                "factors": {_pkey(lam): m for lam, m in sorted(factors.items(), reverse=True)},
+                "dimCheck": factor_dimensions_check(factors, chi, table),
+            }
+        finally:
+            table.persist()  # keeps what was computed before a budget trip
         _emit(doc, args)
         return 0
 
     if args.command == "enumerate":
-        table = SimpleTable(args.p, args.n, budget, cache_dir)
-        labels = enumerate_factors(args.family, args.degree, args.p, args.n, table)
+        table = SimpleTable(args.p, args.n, args.budget, cache_dir)
+        try:
+            labels = enumerate_factors(args.family, args.degree, args.p, args.n, table)
+        finally:
+            table.persist()
         doc = {
             "family": args.family,
             "p": args.p,
@@ -376,14 +387,13 @@ def _dispatch(args) -> int:
             "degree": args.degree,
             "factors": [list(lam) for lam in sorted(labels, reverse=True)],
         }
-        table.persist()
         _emit(doc, args)
         return 0
 
     if args.command == "verify":
         reports = []
         if args.tier:
-            reports = run_tier(args.tier, budget, cache_dir)
+            reports = run_tier(args.tier, args.budget, cache_dir)
         elif args.suite == "combinatorial":
             if args.p is None:
                 raise SchurkitError("combinatorial suite needs --p")
@@ -391,9 +401,11 @@ def _dispatch(args) -> int:
         elif args.suite:
             if args.p is None or args.n is None or args.rmax is None:
                 raise SchurkitError(f"suite {args.suite} needs --p, --n and --rmax")
-            table = SimpleTable(args.p, args.n, budget, cache_dir)
-            reports = [SUITES[args.suite](args.p, args.n, args.rmax, table)]
-            table.persist()
+            table = SimpleTable(args.p, args.n, args.budget, cache_dir)
+            try:
+                reports = [SUITES[args.suite](args.p, args.n, args.rmax, table)]
+            finally:
+                table.persist()
         else:
             raise SchurkitError("verify needs --suite or --tier")
         doc = (

@@ -1,39 +1,65 @@
 """Brute-force simple characters for GL_n in characteristic p.
 
 Realization.  For a partition lam with column heights c_1 >= c_2 >= ... the
-highest-weight closure is taken inside V = Wedge^{c_1} E x Wedge^{c_2} E x ...
-A basis word of V is a concatenation of strictly increasing column blocks
-over the alphabet 1..n, stored as bytes; the highest weight vector is the
-single word whose j-th block is 1..c_j, with coefficient 1.  Divided powers
-of the lowering operators act by replacing the letter i with i+1 in a chosen
-set of k blocks (blocks already holding i+1 contribute nothing), always with
-coefficient 1, so all arithmetic stays in F_p from the start.
+highest-weight closure lies in V = Wedge^{c_1} E x Wedge^{c_2} E x ...  The
+highest weight vector v (the j-th column block is 1..c_j) and the divided
+powers F_i^(k) of the lowering operators commute with every permutation of
+equal-height columns, so the closure lies in the symmetric tensors of V, that
+is in the tensor product over heights c of the divided powers
+Gamma^{m_c}(Wedge^c E), m_c being the number of columns of height c
+(J. A. Green, Polynomial Representations of GL_n, LNM 830).
+
+Basis.  A word of V is one strictly increasing block of letters per column.
+Permuting equal-height columns splits the words into orbits, and a symmetric
+tensor has one coefficient per orbit, shared by every word in it.  An orbit
+is stored as a tuple of (block, count) pairs sorted by block, a block being
+the bitmask of its letters (bit l-1 for letter l), so its height is its
+popcount.  An orbit holds |O| = prod_c m_c! / prod_t m_t! words, where m_t
+counts its blocks of type t.  v is the single orbit of the blocks 1..c_j,
+with coefficient 1.
+
+Lowering.  On a word, F_i^(k) is the sum over the k-sets of blocks that hold
+i and lack i+1 of the word with i replaced by i+1 in those blocks; each term
+has coefficient 1 (blocks already holding i+1 vanish in the exterior power).
+On the orbit sum this moves j_t blocks of each eligible type t to t' (t with
+i replaced by i+1), for every split k = sum_t j_t.  A word of the target
+orbit arises from prod_t C(m_t' + j_t, j_t) source words, m_t' being the
+count of t' before the move (choose which of its t'-blocks were moved), so
+that product mod p is the coefficient.  All arithmetic stays in F_p.
 
 Correctness.  Let M be the span of all divided-power lowering monomials
-applied to the highest weight vector v.  Declaring the words orthonormal
-gives a bilinear form for which lowering and raising matrices are mutual
-transposes, so M's radical is a submodule.  Any m in the radical pairs to
-zero with every F v, hence (applying the transposed monomial) lies in a
-submodule avoiding the highest weight line, while <v, v> = 1 keeps v out of
-the radical; therefore M modulo the radical is the irreducible module with
-highest weight lam, and the rank of the Gram matrix of any basis of a weight
-space of M is the weight multiplicity of the simple module.  This holds even
-when M is a proper reduction image of the integral Weyl module, so no purity
-assumption is needed.
+applied to v.  Declaring the words orthonormal gives a bilinear form for
+which lowering and raising matrices are mutual transposes, so M's radical is
+a submodule.  Any m in the radical pairs to zero with every F v, hence
+(applying the transposed monomial) lies in a submodule avoiding the highest
+weight line, while <v, v> = 1 keeps v out of the radical; therefore M modulo
+the radical is the irreducible module with highest weight lam, and the rank
+of the Gram matrix of any basis of a weight space of M is the weight
+multiplicity of the simple module.  This holds even when M is a proper
+reduction image of the integral Weyl module, so no purity assumption is
+needed.  Restricted to symmetric tensors the same form reads
+<a, b> = sum_O |O| a_O b_O over orbits O, with |O| taken mod p; M and the
+form are unchanged, only written in fewer coordinates, so every rank is the
+rank the word basis gives.
 
 Generators.  Divided powers at p-power exponents generate all divided powers
 (Lucas), so the closure explores k in {1, p, p^2, ...}; a regression test
 checks the resulting characters against exploring every k.  A weight space
 is never expanded past the number of semistandard tableaux of that content,
 which bounds the dimension of the corresponding Weyl weight space.
+
+Budget.  A table's budget caps the words an image represents, the sum of the
+orbit sizes over its support (the image's word count in V); it is checked
+while each image is built.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb, factorial, prod
 from typing import Iterable, Optional
 
 from .characters import SymChar, kostka, power_char
@@ -51,10 +77,12 @@ FAMILIES = ("SS", "SbarSbar", "SbarSbarWedge", "Sbar", "S")
 
 @dataclass(frozen=True)
 class TensorVector:
-    """Sparse vector in a product of exterior powers of the natural module.
+    """Sparse symmetric tensor in a product of exterior powers of the natural
+    module, in the column-orbit basis.
 
-    entries maps words (bytes over 1..n, one strictly increasing block per
-    column of the shape) to nonzero residues mod p.
+    entries maps orbits (tuples of (block bitmask, count) pairs sorted by
+    block) to nonzero residues mod p; each is the coefficient of every word
+    in the orbit.
     """
 
     n: int
@@ -62,29 +90,16 @@ class TensorVector:
     cols: tuple  # column heights, weakly decreasing
     entries: dict
 
-    def weight(self) -> Optional[tuple]:
-        """Common content of the words, as a length-n count vector."""
-        for word in self.entries:
-            return _content(word, self.n)
-        return None
 
-    def words(self) -> dict:
-        """Entries keyed by tuples of ints, for display and tests."""
-        return {tuple(w): c for w, c in sorted(self.entries.items())}
-
-
-def _content(word: bytes, n: int) -> tuple:
-    out = [0] * n
-    for letter in word:
-        out[letter - 1] += 1
-    return tuple(out)
-
-
-def _block_offsets(cols: Iterable[int]) -> list:
-    offs = [0]
-    for c in cols:
-        offs.append(offs[-1] + c)
-    return offs
+def orbit_size(orbit: tuple) -> int:
+    """Number of words in an orbit: its blocks arranged over the columns,
+    equal-height columns only among themselves."""
+    heights: Counter = Counter()
+    size = 1
+    for block, m in orbit:
+        heights[block.bit_count()] += m
+        size *= factorial(m)
+    return prod(map(factorial, heights.values())) // size
 
 
 def highest_weight_vector(lam: Partition, n: int, p: int = 2) -> TensorVector:
@@ -92,44 +107,65 @@ def highest_weight_vector(lam: Partition, n: int, p: int = 2) -> TensorVector:
     if len(lam) > n:
         raise LengthExceedsN(f"{lam} needs more than {n} letters")
     cols = transpose(lam)
-    word = b"".join(bytes(range(1, c + 1)) for c in cols)
-    return TensorVector(n, p, cols, {word: 1})
+    blocks = Counter((1 << c) - 1 for c in cols)
+    return TensorVector(n, p, cols, {tuple(sorted(blocks.items())): 1})
 
 
-def apply_lowering(v: TensorVector, i: int, k: int) -> TensorVector:
-    """Divided power of the i-th lowering operator.
+def _splits(moves: list, k: int, p: int):
+    """Ways to move k blocks, j_t <= m_t of each eligible type, as pairs
+    (j, prod_t C(m_t' + j_t, j_t) mod p); vanishing products are skipped."""
+    if not moves:
+        if k == 0:
+            yield (), 1
+        return
+    (_, m, _, m_to), rest = moves[0], moves[1:]
+    room = sum(move[1] for move in rest)
+    for j in range(max(0, k - room), min(m, k) + 1):
+        c = comb(m_to + j, j) % p
+        if c:
+            for js, d in _splits(rest, k - j, p):
+                yield (j,) + js, c * d % p
 
-    Sums over all k-element sets of column blocks in which the letter i can
-    move to i+1; words where a chosen block already holds i+1 vanish inside
-    the exterior power, so only eligible blocks are chosen.
+
+def apply_lowering(v: TensorVector, i: int, k: int, budget: int = DEFAULT_BUDGET) -> TensorVector:
+    """Divided power F_i^(k) of the i-th lowering operator.
+
+    Raises ResourceBudgetExceeded as soon as the image built so far
+    represents more than budget words.
     """
     if not 1 <= i <= v.n - 1:
         raise ValueError(f"lowering index {i} outside 1..{v.n - 1}")
-    offs = _block_offsets(v.cols)
-    nblocks = len(v.cols)
+    lo = 1 << (i - 1)
+    step = lo | (lo << 1)  # xor swaps letter i for i+1 in an eligible block
     p = v.p
     out: dict = {}
-    for word, coeff in v.entries.items():
-        eligible = []
-        for b in range(nblocks):
-            block = word[offs[b] : offs[b + 1]]
-            if i in block and i + 1 not in block:
-                eligible.append(b)
-        if len(eligible) < k:
-            continue
-        positions = {b: word.index(i, offs[b], offs[b + 1]) for b in eligible}
-        for chosen in combinations(eligible, k):
-            w = bytearray(word)
-            for b in chosen:
-                # the block stays strictly increasing: the next letter, if
-                # any, exceeds i+1 because i+1 is absent
-                w[positions[b]] = i + 1
-            key = bytes(w)
-            c = (out.get(key, 0) + coeff) % p
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
+    represented = 0
+    for orbit, coeff in v.entries.items():
+        counts = dict(orbit)
+        moves = [(t, m, t ^ step, counts.get(t ^ step, 0)) for t, m in orbit if t & step == lo]
+        for js, c in _splits(moves, k, p):
+            new = dict(counts)
+            for (t, m, t_to, m_to), j in zip(moves, js):
+                if j:
+                    if j == m:
+                        del new[t]
+                    else:
+                        new[t] = m - j
+                    new[t_to] = m_to + j
+            key = tuple(sorted(new.items()))
+            old = out.get(key, 0)
+            x = (old + coeff * c) % p
+            if x:
+                out[key] = x
+                if not old:
+                    represented += orbit_size(key)
+                    if represented > budget:
+                        raise ResourceBudgetExceeded(
+                            f"F_{i}^({k}) image in L{list(transpose(v.cols))} passes {budget} represented words"
+                        )
+            elif old:
+                del out[key]
+                represented -= orbit_size(key)
     return TensorVector(v.n, p, v.cols, out)
 
 
@@ -168,19 +204,18 @@ def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
 
 
 def _gram_rank(rows: list, p: int) -> int:
+    """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of orbit rows."""
     d = len(rows)
     if d == 0:
         return 0
+    weighted = [{orbit: c * orbit_size(orbit) for orbit, c in row.items()} for row in rows]
     g = []
-    for a in range(d):
-        ra = rows[a]
+    for wa in weighted:
         line = []
-        for b in range(d):
-            rb = rows[b]
-            small, big = (ra, rb) if len(ra) <= len(rb) else (rb, ra)
+        for rb in rows:
             s = 0
-            for w, c in small.items():
-                x = big.get(w)
+            for orbit, c in wa.items():
+                x = rb.get(orbit)
                 if x:
                     s += c * x
             line.append(s % p)
@@ -215,11 +250,10 @@ def _simple_char_by_gram(
     if deg == 0:
         return SymChar(n, 0, {(): 1}), 1
     hwv = highest_weight_vector(lam, n, p)
-    root_word = next(iter(hwv.entries))
-    root_w = _content(root_word, n)
-    root_row = {root_word: 1}
+    root_w = tuple(lam) + (0,) * (n - len(lam))
+    root_row = hwv.entries
 
-    echelons: dict[tuple, dict] = {root_w: {root_word: root_row}}
+    echelons: dict[tuple, dict] = {root_w: {next(iter(root_row)): root_row}}
     caps: dict[tuple, int] = {}
 
     def cap(w: tuple) -> int:
@@ -244,11 +278,7 @@ def _simple_char_by_gram(
                 ech = echelons.setdefault(tw, {})
                 if len(ech) >= cap(tw):
                     continue  # weight space already as big as the Weyl bound
-                img = apply_lowering(vec, i, k).entries
-                if len(img) > budget:
-                    raise ResourceBudgetExceeded(
-                        f"weight {tw} of L{list(lam)} needs {len(img)} words (budget {budget})"
-                    )
+                img = apply_lowering(vec, i, k, budget).entries
                 new = _reduce_against(ech, img, p)
                 if new is not None:
                     queue.append((tw, new))

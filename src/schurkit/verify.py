@@ -42,7 +42,7 @@ from .partitions import (
 )
 
 FAST_TIER = {
-    "thm-2good": [(2, 2, 14), (2, 3, 12), (3, 2, 14), (3, 3, 12), (5, 2, 12), (5, 3, 10)],
+    "thm-2good": [(2, 2, 14), (2, 3, 12), (3, 2, 14), (3, 3, 12), (3, 3, 14), (5, 2, 12), (5, 3, 10), (2, 4, 10)],
     "thm-21special": [(2, 3, 10), (3, 3, 10), (5, 2, 10)],
     "1special": [(p, n, 8) for p in (2, 3, 5) for n in (1, 2, 3, 4)],
     "combinatorial": [(2, 30), (3, 30), (5, 30), (7, 30)],
@@ -50,7 +50,7 @@ FAST_TIER = {
 }
 
 EXTENDED_TIER = {
-    "thm-2good": FAST_TIER["thm-2good"] + [(3, 3, 14)],
+    "thm-2good": FAST_TIER["thm-2good"],
     "thm-21special": FAST_TIER["thm-21special"],
     "1special": FAST_TIER["1special"],
     "combinatorial": FAST_TIER["combinatorial"],
@@ -502,6 +502,8 @@ def run_tier(tier: str, budget: int = DEFAULT_BUDGET, cache_dir: str | None = No
                 p, n, rmax = cfg
                 if (p, n) not in tables:
                     tables[p, n] = SimpleTable(p, n, budget, cache_dir)
-                reports.append(SUITES[name](p, n, rmax, tables[p, n]))
-                tables[p, n].persist()
+                try:
+                    reports.append(SUITES[name](p, n, rmax, tables[p, n]))
+                finally:
+                    tables[p, n].persist()  # also after a budget trip
     return reports

@@ -6,7 +6,6 @@ criteria computed.  Run with -s (or read the captured output) to see the
 per-criterion lines.
 """
 
-import os
 import random
 
 import pytest
@@ -248,10 +247,6 @@ def test_criterion9_divind_222_p3_as_stated(tables):
     assert got == 0
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SCHURKIT_EXTENDED"),
-    reason="extended tier: set SCHURKIT_EXTENDED=1 (adds ~2 minutes)",
-)
 def test_extended_tier_743_witness(tables):
     table = _table(tables, 3, 3)
     rep = suite_thm_2good(3, 3, 14, table)

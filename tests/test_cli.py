@@ -223,6 +223,41 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_must_be_positive(budget):
+    for argv in (
+        ["oracle", "factors", "--p", "2", "--n", "3", "--spec", "S:8"],
+        ["enumerate", "--family", "SS", "--p", "2", "--n", "3", "--degree", "3"],
+        ["verify", "--suite", "thm-2good", "--p", "2", "--n", "2", "--rmax", "4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", budget])
+        assert exc.value.code == 2
+
+
+def test_budget_trip_keeps_computed_characters(tmp_path, capsys, monkeypatch):
+    argv = ("verify", "--suite", "thm-2good", "--p", "2", "--n", "2", "--budget", "40")
+    small, big = tmp_path / "small", tmp_path / "big"
+    assert run_cli(capsys, *argv, "--rmax", "6", "--cache", str(small))[0] == 0
+    assert run_cli(capsys, *argv, "--rmax", "10", "--cache", str(big))[0] == 3
+    name = "simple_p2_n2.jsonl"
+    kept = (big / name).read_text().splitlines()
+    assert set((small / name).read_text().splitlines()) <= set(kept)
+
+    saves = []
+    monkeypatch.setattr(SimpleTable, "save", lambda self, path: saves.append(path))
+    # the rerun trips at the same character and has nothing new to save
+    assert run_cli(capsys, *argv, "--rmax", "10", "--cache", str(big))[0] == 3
+    assert saves == []
+
+
+def test_tier_budget_trip_keeps_computed_characters(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "FAST_TIER", {"thm-2good": [(2, 2, 10)]})
+    code, _, _ = run_cli(capsys, "verify", "--tier", "fast", "--budget", "40", "--cache", str(tmp_path))
+    assert code == 3
+    assert len((tmp_path / "simple_p2_n2.jsonl").read_text().splitlines()) >= 16
+
+
 def test_pretty_format(capsys):
     code, out, _ = run_cli(
         capsys, "classify", "--p", "3", "[2,1]", "--predicate", "2special", "--format", "pretty"

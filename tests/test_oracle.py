@@ -1,4 +1,5 @@
 import json
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -14,6 +15,7 @@ from schurkit.oracle import (
     enumerate_factors,
     factor_dimensions_check,
     highest_weight_vector,
+    orbit_size,
     product_char,
     simple_char,
 )
@@ -27,38 +29,97 @@ from schurkit.partitions import (
 )
 
 
+def _orbit(*blocks):
+    """Orbit key of the given blocks, each a tuple of letters."""
+    counts = {}
+    for block in blocks:
+        mask = sum(1 << (letter - 1) for letter in block)
+        counts[mask] = counts.get(mask, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def _words(v):
+    """The vector in the word basis: every arrangement of an orbit's blocks
+    over columns of their own height carries the orbit's coefficient."""
+    out = {}
+    for orbit, c in v.entries.items():
+        groups = []
+        for h in sorted(set(v.cols), reverse=True):
+            blocks = [b for b, m in orbit for _ in range(m) if b.bit_count() == h]
+            groups.append(set(permutations(blocks)))
+        for arrangement in product(*groups):
+            word = tuple(l for group in arrangement for b in group for l in range(1, v.n + 1) if b >> (l - 1) & 1)
+            out[word] = c
+    return out
+
+
+def _lower_words(words, cols, i, k, p):
+    """Reference F_i^(k) on words: i becomes i+1 in each k-set of the blocks
+    that hold i and lack i+1, with coefficient 1."""
+    offs = [sum(cols[:j]) for j in range(len(cols) + 1)]
+    out = {}
+    for word, c in words.items():
+        blocks = [word[offs[j] : offs[j + 1]] for j in range(len(cols))]
+        eligible = [j for j, b in enumerate(blocks) if i in b and i + 1 not in b]
+        for chosen in combinations(eligible, k):
+            new = tuple(l + (l == i and j in chosen) for j, b in enumerate(blocks) for l in b)
+            out[new] = (out.get(new, 0) + c) % p
+    return {w: c for w, c in out.items() if c}
+
+
 def test_highest_weight_vector_single_row():
     v = highest_weight_vector((2,), 2)
-    assert v.words() == {(1, 1): 1}
-    assert v.weight() == (2, 0)
+    assert v.entries == {_orbit((1,), (1,)): 1}
+    assert _words(v) == {(1, 1): 1}
 
 
 def test_highest_weight_vector_column_blocks():
     # one column of height 2 is a single wedge basis element of norm one
     v = highest_weight_vector((1, 1), 2)
-    assert v.words() == {(1, 2): 1}
+    assert v.entries == {_orbit((1, 2)): 1}
     # columns (2),(1): blocks [1,2] and [1]
     v = highest_weight_vector((2, 1), 2)
-    assert v.words() == {(1, 2, 1): 1}
+    assert v.entries == {_orbit((1, 2), (1,)): 1}
+    assert _words(v) == {(1, 2, 1): 1}
     with pytest.raises(LengthExceedsN):
         highest_weight_vector((1, 1, 1), 2)
 
 
 def test_apply_lowering_examples():
     v = highest_weight_vector((2,), 2, p=5)
-    assert apply_lowering(v, 1, 1).words() == {(2, 1): 1, (1, 2): 1}
-    assert apply_lowering(v, 1, 2).words() == {(2, 2): 1}
+    # the orbit {[1],[2]} stands for the words (2,1) and (1,2)
+    assert apply_lowering(v, 1, 1).entries == {_orbit((1,), (2,)): 1}
+    assert apply_lowering(v, 1, 2).entries == {_orbit((2,), (2,)): 1}
+    # F^2 = 2 F^(2): [2] is made from either of the two blocks of the target
+    assert apply_lowering(apply_lowering(v, 1, 1), 1, 1).entries == {_orbit((2,), (2,)): 2}
     w = apply_lowering(v, 1, 2)
-    assert apply_lowering(w, 1, 1).words() == {}  # no letter 1 left
+    assert apply_lowering(w, 1, 1).entries == {}  # no letter 1 left
 
 
 def test_apply_lowering_kills_occupied_block():
     # within a single wedge block the letter can only move if i+1 is absent
     v = highest_weight_vector((1, 1), 3, p=5)  # block [1,2]
-    assert apply_lowering(v, 1, 1).words() == {}
-    assert apply_lowering(v, 2, 1).words() == {(1, 3): 1}
+    assert apply_lowering(v, 1, 1).entries == {}
+    assert apply_lowering(v, 2, 1).entries == {_orbit((1, 3)): 1}
     with pytest.raises(ValueError):
         apply_lowering(v, 3, 1)
+
+
+def test_apply_lowering_matches_word_reference():
+    # two steps from the highest weight vector, every (i, k), against the
+    # lowering on words; the orbit sizes add up to the words represented
+    for p in (2, 3, 5):
+        for n in (2, 3):
+            for lam in partitions_up_to(6, max_len=n):
+                hwv = highest_weight_vector(lam, n, p)
+                ops = [(i, k) for i in range(1, n) for k in range(1, len(hwv.cols) + 1)]
+                for v in [hwv] + [apply_lowering(hwv, i, k) for i, k in ops]:
+                    words = _words(v)
+                    for i, k in ops:
+                        img = apply_lowering(v, i, k)
+                        expect = _lower_words(words, hwv.cols, i, k, p)
+                        assert _words(img) == expect, (lam, p, i, k, v.entries)
+                        assert sum(orbit_size(o) for o in img.entries) == len(expect)
 
 
 def test_simple_char_one_variable():
@@ -207,6 +268,13 @@ def test_budget_exceeded():
     tab = SimpleTable(2, 3, budget=10)
     with pytest.raises(ResourceBudgetExceeded):
         tab.char((6,))
+
+
+def test_budget_counts_represented_words():
+    # the orbit {[1],[1],[2],[2]} of lambda=(4) is one basis element, six words
+    with pytest.raises(ResourceBudgetExceeded):
+        SimpleTable(5, 2, budget=5).char((4,))
+    assert SimpleTable(5, 2, budget=6).char((4,)).coeffs == {(4,): 1, (3, 1): 1, (2, 2): 1}
 
 
 def test_table_cache_and_persistence(tmp_path):

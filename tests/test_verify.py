@@ -2,6 +2,7 @@ import json
 
 from schurkit.oracle import SimpleTable
 from schurkit.verify import (
+    EXTENDED_TIER,
     FAST_TIER,
     _set_equality_suite,
     suite_1special,
@@ -95,5 +96,7 @@ def test_suites_are_deterministic():
 
 
 def test_fast_tier_configs_present():
-    assert (3, 3, 12) in FAST_TIER["thm-2good"]
+    assert {(3, 3, 12), (3, 3, 14), (2, 4, 10)} <= set(FAST_TIER["thm-2good"])
     assert (2, 3, 10) in FAST_TIER["thm-21special"]
+    for configs in EXTENDED_TIER.values():
+        assert len(configs) == len(set(configs))  # no config is run twice
