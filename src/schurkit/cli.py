@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from math import isqrt
 
 from . import classify as cls
 from .characters import char_from_expr, decompose_schur
@@ -48,6 +49,13 @@ def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
+def _prime(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 2 or any(value % d == 0 for d in range(2, isqrt(value) + 1)):
+        raise argparse.ArgumentTypeError(f"{value} is not a prime")
     return value
 
 
@@ -199,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     pc.add_argument("partition", help="JSON array, e.g. \"[7,4,3]\"")
-    pc.add_argument("--p", type=int, required=True, help="the prime")
+    pc.add_argument("--p", type=_prime, required=True, help="the prime")
     pc.add_argument("--n", type=int, default=None, help="ambient variable count (optional)")
     pc.add_argument("--predicate", required=True, choices=PREDICATES)
     pc.add_argument("--a", type=int, default=0, help="row bound for --predicate bounded")
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     pp.add_argument("partition")
-    pp.add_argument("--p", type=int, required=True)
+    pp.add_argument("--p", type=_prime, required=True)
     pp.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     pp.add_argument("--out", default=None)
 
@@ -244,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
             "from contravariant-form Gram ranks, with a dimension audit."
         ),
     )
-    of.add_argument("--p", type=int, required=True)
+    of.add_argument("--p", type=_prime, required=True)
     of.add_argument("--n", type=int, required=True)
     of.add_argument("--spec", required=True, help='e.g. "S:4,S:3" or "Sbar:2,Wedge:1"')
     of.add_argument("--cache", default=None, help="cache directory (or SCHURKIT_CACHE)")
-    of.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="represented words per image")
+    of.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
     of.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     of.add_argument("--out", default=None)
 
@@ -261,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     en.add_argument("--family", required=True, choices=FAMILIES)
-    en.add_argument("--p", type=int, required=True)
+    en.add_argument("--p", type=_prime, required=True)
     en.add_argument("--n", type=int, required=True)
     en.add_argument("--degree", type=int, required=True)
     en.add_argument("--cache", default=None)
-    en.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="represented words per image")
+    en.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
     en.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     en.add_argument("--out", default=None)
 
@@ -282,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ve.add_argument("--suite", choices=sorted(SUITES), default=None)
     ve.add_argument("--tier", choices=("fast", "extended"), default=None)
-    ve.add_argument("--p", type=int, default=None)
+    ve.add_argument("--p", type=_prime, default=None)
     ve.add_argument("--n", type=int, default=None)
     ve.add_argument("--rmax", "--degree", dest="rmax", type=int, default=None)
     ve.add_argument("--bound", type=int, default=30, help="degree bound for the combinatorial suite")
     ve.add_argument("--cache", default=None)
-    ve.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="represented words per image")
+    ve.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
     ve.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     ve.add_argument("--out", default=None)
 

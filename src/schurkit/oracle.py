@@ -1,12 +1,12 @@
 """Brute-force simple characters for GL_n in characteristic p.
 
 Realization.  For a partition lam with column heights c_1 >= c_2 >= ... the
-highest-weight closure lies in V = Wedge^{c_1} E x Wedge^{c_2} E x ...  The
-highest weight vector v (the j-th column block is 1..c_j) and the divided
-powers F_i^(k) of the lowering operators commute with every permutation of
-equal-height columns, so the closure lies in the symmetric tensors of V, that
-is in the tensor product over heights c of the divided powers
-Gamma^{m_c}(Wedge^c E), m_c being the number of columns of height c
+module M = U^- v generated by the highest weight vector v (the j-th column
+block is 1..c_j) lies in V = Wedge^{c_1} E x Wedge^{c_2} E x ...  v and the
+divided powers E_ji^(k) (j > i) of the lowering root operators commute with
+every permutation of equal-height columns, so M lies in the symmetric
+tensors of V, that is in the tensor product over heights c of the divided
+powers Gamma^{m_c}(Wedge^c E), m_c being the number of columns of height c
 (J. A. Green, Polynomial Representations of GL_n, LNM 830).
 
 Basis.  A word of V is one strictly increasing block of letters per column.
@@ -18,14 +18,16 @@ popcount.  An orbit holds |O| = prod_c m_c! / prod_t m_t! words, where m_t
 counts its blocks of type t.  v is the single orbit of the blocks 1..c_j,
 with coefficient 1.
 
-Lowering.  On a word, F_i^(k) is the sum over the k-sets of blocks that hold
-i and lack i+1 of the word with i replaced by i+1 in those blocks; each term
-has coefficient 1 (blocks already holding i+1 vanish in the exterior power).
+Lowering.  On a word, E_ji^(k) is the sum over the k-sets of blocks that
+hold i and lack j of the word with i replaced by j in those blocks (blocks
+already holding j vanish in the exterior power).  Re-sorting a moved block
+gives it the sign (-1)^(number of its letters strictly between i and j).
 On the orbit sum this moves j_t blocks of each eligible type t to t' (t with
-i replaced by i+1), for every split k = sum_t j_t.  A word of the target
-orbit arises from prod_t C(m_t' + j_t, j_t) source words, m_t' being the
-count of t' before the move (choose which of its t'-blocks were moved), so
-that product mod p is the coefficient.  All arithmetic stays in F_p.
+i replaced by j), for every split k = sum_t j_t.  A word of the target orbit
+arises from prod_t C(m_t' + j_t, j_t) source words, m_t' being the count of
+t' before the move (choose which of its t'-blocks were moved), so that
+product times prod_t sign_t^j_t, mod p, is the coefficient.  All arithmetic
+stays in F_p.
 
 Correctness.  Let M be the span of all divided-power lowering monomials
 applied to v.  Declaring the words orthonormal gives a bilinear form for
@@ -42,15 +44,18 @@ needed.  Restricted to symmetric tensors the same form reads
 form are unchanged, only written in fewer coordinates, so every rank is the
 rank the word basis gives.
 
-Generators.  Divided powers at p-power exponents generate all divided powers
-(Lucas), so the closure explores k in {1, p, p^2, ...}; a regression test
-checks the resulting characters against exploring every k.  A weight space
-is never expanded past the number of semistandard tableaux of that content,
-which bounds the dimension of the corresponding Weyl weight space.
+Tableau vectors.  The integral Weyl module U_Z^- v has the Z-basis F^(T) v,
+one vector per semistandard tableau T of shape lam (R. W. Carter and
+G. Lusztig, Math. Z. 136 (1974); Green, LNM 830), where F^(T) is the product
+over rows r of T of E_jr^(t_rj) for the t_rj letters j > r in row r, the
+bottom row acting first.  Reduced mod p, the vectors of content nu span M_nu,
+so only the dominant weights nu are visited: their tableaux are peeled as
+horizontal strips, their vectors row-reduced to an echelon basis, and the
+Gram rank of that basis is the multiplicity of nu.
 
-Budget.  A table's budget caps the words an image represents, the sum of the
-orbit sizes over its support (the image's word count in V); it is checked
-while each image is built.
+Budget.  A table's budget caps what one dominant weight holds: the orbit
+terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
+the echelon size.  It is checked before the Gram matrix is built.
 """
 
 from __future__ import annotations
@@ -62,9 +67,9 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import Iterable, Optional
 
-from .characters import SymChar, kostka, power_char
+from .characters import SymChar, _horizontal_strip_removals, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded
-from .partitions import Partition, partition, transpose
+from .partitions import Partition, partition, partitions_of, transpose
 
 DEFAULT_BUDGET = 300_000
 
@@ -113,72 +118,78 @@ def highest_weight_vector(lam: Partition, n: int, p: int = 2) -> TensorVector:
 
 def _splits(moves: list, k: int, p: int):
     """Ways to move k blocks, j_t <= m_t of each eligible type, as pairs
-    (j, prod_t C(m_t' + j_t, j_t) mod p); vanishing products are skipped."""
+    (j, prod_t (+-1)^j_t C(m_t' + j_t, j_t) mod p); vanishing products are
+    skipped."""
     if not moves:
         if k == 0:
             yield (), 1
         return
-    (_, m, _, m_to), rest = moves[0], moves[1:]
+    (_, m, _, m_to, odd), rest = moves[0], moves[1:]
     room = sum(move[1] for move in rest)
     for j in range(max(0, k - room), min(m, k) + 1):
-        c = comb(m_to + j, j) % p
+        c = comb(m_to + j, j) * (-1) ** (odd * j) % p
         if c:
             for js, d in _splits(rest, k - j, p):
                 yield (j,) + js, c * d % p
 
 
-def apply_lowering(v: TensorVector, i: int, k: int, budget: int = DEFAULT_BUDGET) -> TensorVector:
-    """Divided power F_i^(k) of the i-th lowering operator.
-
-    Raises ResourceBudgetExceeded as soon as the image built so far
-    represents more than budget words.
-    """
-    if not 1 <= i <= v.n - 1:
-        raise ValueError(f"lowering index {i} outside 1..{v.n - 1}")
-    lo = 1 << (i - 1)
-    step = lo | (lo << 1)  # xor swaps letter i for i+1 in an eligible block
+def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
+    """Divided power E_ji^(k) of the root operator taking letter i to j > i."""
+    if not 1 <= i < j <= v.n:
+        raise ValueError(f"lowering {i} -> {j} outside 1..{v.n}")
+    lo, hi = 1 << (i - 1), 1 << (j - 1)
+    step = lo | hi  # xor swaps letter i for j in an eligible block
+    between = hi - (lo << 1)  # the letters strictly between i and j
     p = v.p
     out: dict = {}
-    represented = 0
     for orbit, coeff in v.entries.items():
         counts = dict(orbit)
-        moves = [(t, m, t ^ step, counts.get(t ^ step, 0)) for t, m in orbit if t & step == lo]
+        moves = [
+            (t, m, t ^ step, counts.get(t ^ step, 0), (t & between).bit_count() & 1)
+            for t, m in orbit
+            if t & step == lo
+        ]
         for js, c in _splits(moves, k, p):
             new = dict(counts)
-            for (t, m, t_to, m_to), j in zip(moves, js):
-                if j:
-                    if j == m:
+            for (t, m, t_to, m_to, _), jt in zip(moves, js):
+                if jt:
+                    if jt == m:
                         del new[t]
                     else:
-                        new[t] = m - j
-                    new[t_to] = m_to + j
+                        new[t] = m - jt
+                    new[t_to] = m_to + jt
             key = tuple(sorted(new.items()))
-            old = out.get(key, 0)
-            x = (old + coeff * c) % p
+            x = (out.get(key, 0) + coeff * c) % p
             if x:
                 out[key] = x
-                if not old:
-                    represented += orbit_size(key)
-                    if represented > budget:
-                        raise ResourceBudgetExceeded(
-                            f"F_{i}^({k}) image in L{list(transpose(v.cols))} passes {budget} represented words"
-                        )
-            elif old:
-                del out[key]
-                represented -= orbit_size(key)
+            else:
+                out.pop(key, None)
     return TensorVector(v.n, p, v.cols, out)
 
 
-# --- closure and Gram ranks ----------------------------------------------------
+# --- tableau vectors and Gram ranks --------------------------------------------
 
 
-def _p_power_exponents(p: int, limit: int) -> list:
-    out = []
-    k = 1
-    while k <= limit:
-        out.append(k)
-        k *= p
-    return out
+def _tableau_operators(lam: Partition, nu: tuple):
+    """For each semistandard tableau T of shape lam and content nu, the
+    divided powers (r, j, t) of F^(T), t letters j > r in row r, bottom row
+    first.  Tableaux are peeled one letter at a time, largest first, as
+    horizontal strips."""
+
+    def peel(shape: Partition, letter: int, ops: list):
+        if letter == 0:
+            yield sorted(ops, reverse=True)
+            return
+        for inner in _horizontal_strip_removals(shape, nu[letter - 1]):
+            if len(inner) < letter:  # letters 1..letter-1 fill at most letter-1 rows
+                moved = [
+                    (r + 1, letter, a - b)
+                    for r, (a, b) in enumerate(zip(shape, inner + (0,) * len(shape)))
+                    if a > b and r + 1 < letter
+                ]
+                yield from peel(inner, letter - 1, ops + moved)
+
+    yield from peel(lam, len(nu), [])
 
 
 def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
@@ -239,61 +250,38 @@ def _gram_rank(rows: list, p: int) -> int:
     return rank
 
 
-def _simple_char_by_gram(
-    lam: Partition, p: int, n: int, budget: int, all_k: bool = False
-) -> tuple[SymChar, int]:
-    """Character of the simple module via Gram ranks per dominant weight of
-    the lowering closure; also returns the largest weight-space dimension."""
-    if len(lam) > n:
-        raise LengthExceedsN(f"{lam} needs more than {n} letters")
-    deg = sum(lam)
-    if deg == 0:
-        return SymChar(n, 0, {(): 1}), 1
+def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[SymChar, int]:
+    """Character of the simple module via Gram ranks of the tableau vectors
+    at each dominant weight; also returns the largest weight-space dimension.
+
+    Raises ResourceBudgetExceeded when the orbit terms of one weight's
+    vectors plus its Gram entries pass budget, before the Gram matrix is
+    built.
+    """
     hwv = highest_weight_vector(lam, n, p)
-    root_w = tuple(lam) + (0,) * (n - len(lam))
-    root_row = hwv.entries
-
-    echelons: dict[tuple, dict] = {root_w: {next(iter(root_row)): root_row}}
-    caps: dict[tuple, int] = {}
-
-    def cap(w: tuple) -> int:
-        c = caps.get(w)
-        if c is None:
-            c = kostka(lam, partition(sorted(w, reverse=True)))
-            caps[w] = c
-        return c
-
-    queue = [(root_w, root_row)]
-    while queue:
-        w, row = queue.pop()
-        vec = TensorVector(n, p, hwv.cols, row)
-        for i in range(1, n):
-            cnt = w[i - 1]
-            ks = range(1, cnt + 1) if all_k else _p_power_exponents(p, cnt)
-            for k in ks:
-                tw = list(w)
-                tw[i - 1] -= k
-                tw[i] += k
-                tw = tuple(tw)
-                ech = echelons.setdefault(tw, {})
-                if len(ech) >= cap(tw):
-                    continue  # weight space already as big as the Weyl bound
-                img = apply_lowering(vec, i, k, budget).entries
-                new = _reduce_against(ech, img, p)
-                if new is not None:
-                    queue.append((tw, new))
-
     coeffs = {}
     max_dim = 0
-    for w, ech in echelons.items():
-        max_dim = max(max_dim, len(ech))
-        desc = tuple(sorted(w, reverse=True))
-        if tuple(w) != desc:
-            continue  # rank needed at dominant weights only
+    for nu in partitions_of(sum(lam), max_len=n):
+        held = 0
+        ech: dict = {}
+        for ops in _tableau_operators(lam, nu + (0,) * (n - len(nu))):
+            vec = hwv
+            for r, j, t in ops:
+                vec = apply_lowering(vec, r, j, t)
+            held += len(vec.entries)
+            if held > budget:
+                break
+            _reduce_against(ech, dict(vec.entries), p)
+        d = len(ech)
+        if held + d * d > budget:
+            raise ResourceBudgetExceeded(
+                f"weight {list(nu)} of L{list(lam)} needs more than {budget} orbit terms and Gram entries"
+            )
+        max_dim = max(max_dim, d)
         rank = _gram_rank(list(ech.values()), p)
         if rank:
-            coeffs[partition(desc)] = rank
-    return SymChar(n, deg, coeffs), max_dim
+            coeffs[nu] = rank
+    return SymChar(n, sum(lam), coeffs), max_dim
 
 
 class SimpleTable:

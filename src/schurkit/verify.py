@@ -42,7 +42,20 @@ from .partitions import (
 )
 
 FAST_TIER = {
-    "thm-2good": [(2, 2, 14), (2, 3, 12), (3, 2, 14), (3, 3, 12), (3, 3, 14), (5, 2, 12), (5, 3, 10), (2, 4, 10)],
+    "thm-2good": [
+        (2, 2, 14),
+        (2, 3, 12),
+        (3, 2, 14),
+        (3, 3, 12),
+        (3, 3, 14),
+        (3, 3, 18),
+        (5, 2, 12),
+        (5, 3, 10),
+        (7, 3, 20),
+        (2, 4, 10),
+        (2, 4, 12),
+        (2, 5, 8),
+    ],
     "thm-21special": [(2, 3, 10), (3, 3, 10), (5, 2, 10)],
     "1special": [(p, n, 8) for p in (2, 3, 5) for n in (1, 2, 3, 4)],
     "combinatorial": [(2, 30), (3, 30), (5, 30), (7, 30)],

@@ -178,7 +178,7 @@ def test_verify_suite_uses_cache(tmp_path, capsys):
 
 
 def test_verify_tier_honours_budget(capsys):
-    # lambda = (4) at p=2, n=2, early in the fast tier, needs 6 words
+    # lambda = (2,1) at p=2, n=3, in the fast tier's first n=3 table, needs 8
     code, out, err = run_cli(capsys, "verify", "--tier", "fast", "--budget", "5")
     assert code == 3
     assert out == "" and "budget" in err
@@ -235,27 +235,43 @@ def test_budget_must_be_positive(budget):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("p", ["1", "4", "6"])
+def test_p_must_be_prime(p, capsys):
+    for argv in (
+        ["oracle", "factors", "--n", "2", "--spec", "S:4,S:2"],
+        ["enumerate", "--family", "SS", "--n", "3", "--degree", "3"],
+        ["parse", "[3,1]"],
+        ["classify", "[3,1]", "--predicate", "standard"],
+        ["verify", "--suite", "thm-2good", "--n", "2", "--rmax", "4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--p", p])
+        assert exc.value.code == 2
+        assert "not a prime" in capsys.readouterr().err
+
+
 def test_budget_trip_keeps_computed_characters(tmp_path, capsys, monkeypatch):
-    argv = ("verify", "--suite", "thm-2good", "--p", "2", "--n", "2", "--budget", "40")
+    # every lambda of degree at most 5 needs at most 8; (4,2) needs 18
+    argv = ("verify", "--suite", "thm-2good", "--p", "2", "--n", "3", "--budget", "8")
     small, big = tmp_path / "small", tmp_path / "big"
-    assert run_cli(capsys, *argv, "--rmax", "6", "--cache", str(small))[0] == 0
-    assert run_cli(capsys, *argv, "--rmax", "10", "--cache", str(big))[0] == 3
-    name = "simple_p2_n2.jsonl"
+    assert run_cli(capsys, *argv, "--rmax", "5", "--cache", str(small))[0] == 0
+    assert run_cli(capsys, *argv, "--rmax", "8", "--cache", str(big))[0] == 3
+    name = "simple_p2_n3.jsonl"
     kept = (big / name).read_text().splitlines()
     assert set((small / name).read_text().splitlines()) <= set(kept)
 
     saves = []
     monkeypatch.setattr(SimpleTable, "save", lambda self, path: saves.append(path))
     # the rerun trips at the same character and has nothing new to save
-    assert run_cli(capsys, *argv, "--rmax", "10", "--cache", str(big))[0] == 3
+    assert run_cli(capsys, *argv, "--rmax", "8", "--cache", str(big))[0] == 3
     assert saves == []
 
 
 def test_tier_budget_trip_keeps_computed_characters(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(verify, "FAST_TIER", {"thm-2good": [(2, 2, 10)]})
-    code, _, _ = run_cli(capsys, "verify", "--tier", "fast", "--budget", "40", "--cache", str(tmp_path))
+    monkeypatch.setattr(verify, "FAST_TIER", {"thm-2good": [(2, 3, 8)]})
+    code, _, _ = run_cli(capsys, "verify", "--tier", "fast", "--budget", "8", "--cache", str(tmp_path))
     assert code == 3
-    assert len((tmp_path / "simple_p2_n2.jsonl").read_text().splitlines()) >= 16
+    assert len((tmp_path / "simple_p2_n3.jsonl").read_text().splitlines()) >= 16  # the --rmax 5 characters
 
 
 def test_pretty_format(capsys):

@@ -8,6 +8,9 @@ from schurkit.errors import LengthExceedsN, NegativeResidual, ResourceBudgetExce
 from schurkit.characters import SymChar
 from schurkit.oracle import (
     SimpleTable,
+    TensorVector,
+    _gram_rank,
+    _reduce_against,
     _simple_char_by_gram,
     apply_lowering,
     composition_factors,
@@ -24,6 +27,7 @@ from schurkit.partitions import (
     dominance_leq,
     is_restricted,
     p_core,
+    partition,
     partitions_up_to,
     restricted_split,
 )
@@ -53,18 +57,53 @@ def _words(v):
     return out
 
 
-def _lower_words(words, cols, i, k, p):
-    """Reference F_i^(k) on words: i becomes i+1 in each k-set of the blocks
-    that hold i and lack i+1, with coefficient 1."""
-    offs = [sum(cols[:j]) for j in range(len(cols) + 1)]
+def _lower_words(words, cols, i, j, k, p):
+    """Reference E_ji^(k) on words: i becomes j in each k-set of the blocks
+    that hold i and lack j, and each changed block is sorted back into
+    increasing order at the sign of that permutation."""
+    offs = [sum(cols[:c]) for c in range(len(cols) + 1)]
     out = {}
     for word, c in words.items():
-        blocks = [word[offs[j] : offs[j + 1]] for j in range(len(cols))]
-        eligible = [j for j, b in enumerate(blocks) if i in b and i + 1 not in b]
+        blocks = [word[offs[b] : offs[b + 1]] for b in range(len(cols))]
+        eligible = [b for b, block in enumerate(blocks) if i in block and j not in block]
         for chosen in combinations(eligible, k):
-            new = tuple(l + (l == i and j in chosen) for j, b in enumerate(blocks) for l in b)
-            out[new] = (out.get(new, 0) + c) % p
+            new, sign = [], 1
+            for b, block in enumerate(blocks):
+                if b in chosen:
+                    block = [j if l == i else l for l in block]
+                    sign *= (-1) ** sum(x > y for x, y in combinations(block, 2))
+                new.extend(sorted(block))
+            out[tuple(new)] = (out.get(tuple(new), 0) + sign * c) % p
     return {w: c for w, c in out.items() if c}
+
+
+def _closure_char(lam, p, n):
+    """Reference oracle: the closure of the highest weight vector under every
+    F_i^(k) = E_{i+1,i}^(k), weight by weight, each weight space capped at
+    its Kostka number; Gram ranks at the dominant weights.  Also returns the
+    largest weight-space dimension."""
+    hwv = highest_weight_vector(lam, n, p)
+    top = tuple(lam) + (0,) * (n - len(lam))
+    echelons = {top: {}}
+    _reduce_against(echelons[top], dict(hwv.entries), p)
+    queue = [(top, hwv.entries)]
+    while queue:
+        w, row = queue.pop()
+        vec = TensorVector(n, p, hwv.cols, row)
+        for i in range(1, n):
+            for k in range(1, w[i - 1] + 1):
+                tw = w[: i - 1] + (w[i - 1] - k, w[i] + k) + w[i + 1 :]
+                ech = echelons.setdefault(tw, {})
+                if len(ech) < kostka(lam, partition(sorted(tw, reverse=True))):
+                    new = _reduce_against(ech, apply_lowering(vec, i, i + 1, k).entries, p)
+                    if new is not None:
+                        queue.append((tw, new))
+    coeffs = {}
+    for w, ech in echelons.items():
+        rank = _gram_rank(list(ech.values()), p)
+        if rank and list(w) == sorted(w, reverse=True):
+            coeffs[partition(w)] = rank
+    return SymChar(n, sum(lam), coeffs), max(map(len, echelons.values()))
 
 
 def test_highest_weight_vector_single_row():
@@ -88,37 +127,40 @@ def test_highest_weight_vector_column_blocks():
 def test_apply_lowering_examples():
     v = highest_weight_vector((2,), 2, p=5)
     # the orbit {[1],[2]} stands for the words (2,1) and (1,2)
-    assert apply_lowering(v, 1, 1).entries == {_orbit((1,), (2,)): 1}
-    assert apply_lowering(v, 1, 2).entries == {_orbit((2,), (2,)): 1}
+    assert apply_lowering(v, 1, 2, 1).entries == {_orbit((1,), (2,)): 1}
+    assert apply_lowering(v, 1, 2, 2).entries == {_orbit((2,), (2,)): 1}
     # F^2 = 2 F^(2): [2] is made from either of the two blocks of the target
-    assert apply_lowering(apply_lowering(v, 1, 1), 1, 1).entries == {_orbit((2,), (2,)): 2}
-    w = apply_lowering(v, 1, 2)
-    assert apply_lowering(w, 1, 1).entries == {}  # no letter 1 left
+    assert apply_lowering(apply_lowering(v, 1, 2, 1), 1, 2, 1).entries == {_orbit((2,), (2,)): 2}
+    w = apply_lowering(v, 1, 2, 2)
+    assert apply_lowering(w, 1, 2, 1).entries == {}  # no letter 1 left
 
 
 def test_apply_lowering_kills_occupied_block():
-    # within a single wedge block the letter can only move if i+1 is absent
+    # within a single wedge block the letter can only move if j is absent
     v = highest_weight_vector((1, 1), 3, p=5)  # block [1,2]
-    assert apply_lowering(v, 1, 1).entries == {}
-    assert apply_lowering(v, 2, 1).entries == {_orbit((1, 3)): 1}
-    with pytest.raises(ValueError):
-        apply_lowering(v, 3, 1)
+    assert apply_lowering(v, 1, 2, 1).entries == {}
+    assert apply_lowering(v, 2, 3, 1).entries == {_orbit((1, 3)): 1}
+    # 1 -> 3 passes letter 2: e_3 ^ e_2 = -e_2 ^ e_3
+    assert apply_lowering(v, 1, 3, 1).entries == {_orbit((2, 3)): 4}
+    for i, j in ((3, 4), (2, 2), (2, 1)):
+        with pytest.raises(ValueError):
+            apply_lowering(v, i, j, 1)
 
 
 def test_apply_lowering_matches_word_reference():
-    # two steps from the highest weight vector, every (i, k), against the
+    # two steps from the highest weight vector, every (i, j, k), against the
     # lowering on words; the orbit sizes add up to the words represented
     for p in (2, 3, 5):
-        for n in (2, 3):
-            for lam in partitions_up_to(6, max_len=n):
+        for n, deg in ((2, 6), (3, 6), (4, 5)):
+            for lam in partitions_up_to(deg, max_len=n):
                 hwv = highest_weight_vector(lam, n, p)
-                ops = [(i, k) for i in range(1, n) for k in range(1, len(hwv.cols) + 1)]
-                for v in [hwv] + [apply_lowering(hwv, i, k) for i, k in ops]:
+                ops = [(i, j, k) for i in range(1, n) for j in range(i + 1, n + 1) for k in range(1, len(hwv.cols) + 1)]
+                for v in [hwv] + [apply_lowering(hwv, *op) for op in ops]:
                     words = _words(v)
-                    for i, k in ops:
-                        img = apply_lowering(v, i, k)
-                        expect = _lower_words(words, hwv.cols, i, k, p)
-                        assert _words(img) == expect, (lam, p, i, k, v.entries)
+                    for op in ops:
+                        img = apply_lowering(v, *op)
+                        expect = _lower_words(words, hwv.cols, *op, p)
+                        assert _words(img) == expect, (lam, p, op, v.entries)
                         assert sum(orbit_size(o) for o in img.entries) == len(expect)
 
 
@@ -155,13 +197,11 @@ def test_simple_char_known_p3():
     assert simple_char((2, 2, 2), 3, 3).coeffs == {(2, 2, 2): 1}
 
 
-def test_p_power_exponents_match_all_k():
-    for p in (2, 3):
-        for n in (2, 3):
-            for lam in partitions_up_to(7, max_len=n):
-                fast, _ = _simple_char_by_gram(lam, p, n, 10**6)
-                full, _ = _simple_char_by_gram(lam, p, n, 10**6, all_k=True)
-                assert fast == full, (lam, p, n)
+def test_tableau_vectors_match_closure():
+    for p in (2, 3, 5):
+        for n, deg in ((2, 8), (3, 8), (4, 7)):
+            for lam in partitions_up_to(deg, max_len=n):
+                assert _simple_char_by_gram(lam, p, n, 10**6) == _closure_char(lam, p, n), (lam, p, n)
 
 
 def test_gram_sanity_invariants():
@@ -267,14 +307,16 @@ def test_restricted_good_equals_special():
 def test_budget_exceeded():
     tab = SimpleTable(2, 3, budget=10)
     with pytest.raises(ResourceBudgetExceeded):
-        tab.char((6,))
+        tab.char((4, 2))  # needs 18: at nu = (2,2,2), three vectors of four terms and 3 x 3 entries
 
 
-def test_budget_counts_represented_words():
-    # the orbit {[1],[1],[2],[2]} of lambda=(4) is one basis element, six words
-    with pytest.raises(ResourceBudgetExceeded):
-        SimpleTable(5, 2, budget=5).char((4,))
-    assert SimpleTable(5, 2, budget=6).char((4,)).coeffs == {(4,): 1, (3, 1): 1, (2, 2): 1}
+def test_budget_counts_orbit_terms_and_gram_entries():
+    # at nu = (1,1,1) the tableau vectors of lambda = (2,1) are
+    # E_21 E_32 v = {[2,3],[1]} + {[1,3],[2]} and E_31 v = -{[2,3],[1]} + {[1,2],[3]}:
+    # four orbit terms and a 2 x 2 Gram matrix, eight in all (of rank 1 at p=3)
+    with pytest.raises(ResourceBudgetExceeded, match=r"weight \[1, 1, 1\] of L\[2, 1\]"):
+        SimpleTable(3, 3, budget=7).char((2, 1))
+    assert SimpleTable(3, 3, budget=8).char((2, 1)).coeffs == {(2, 1): 1, (1, 1, 1): 1}
 
 
 def test_table_cache_and_persistence(tmp_path):

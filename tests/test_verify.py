@@ -1,6 +1,6 @@
 import json
 
-from schurkit.oracle import SimpleTable
+from schurkit.oracle import DEFAULT_BUDGET, SimpleTable
 from schurkit.verify import (
     EXTENDED_TIER,
     FAST_TIER,
@@ -97,6 +97,14 @@ def test_suites_are_deterministic():
 
 def test_fast_tier_configs_present():
     assert {(3, 3, 12), (3, 3, 14), (2, 4, 10)} <= set(FAST_TIER["thm-2good"])
+    assert {(3, 3, 18), (2, 4, 12), (2, 5, 8), (7, 3, 20)} <= set(FAST_TIER["thm-2good"])
     assert (2, 3, 10) in FAST_TIER["thm-21special"]
     for configs in EXTENDED_TIER.values():
         assert len(configs) == len(set(configs))  # no config is run twice
+
+
+def test_thm_2good_degree_15_within_default_budget():
+    table = SimpleTable(3, 3)
+    assert table.budget == DEFAULT_BUDGET
+    rep = suite_thm_2good(3, 3, 15, table)
+    assert rep.verdict and rep.discrepancies == []
