@@ -4,12 +4,26 @@ A character is stored in the monomial-symmetric basis: a finite map from
 dominant weights (partitions of the degree with at most n parts) to integer
 multiplicities.  The full weight multiset is recovered by symmetrizing each
 key over coordinate permutations.  Characters are immutable values.
+
+Products count orbits instead of convolving full weights.  With O(lam) the
+distinct rearrangements of lam padded to n parts,
+
+    m_lam * m_mu = sum over alpha in O(lam) of (|O(mu)| / |O(nu)|) * m_nu,
+    nu = sort(alpha + mu).
+
+The coefficient of m_nu counts the pairs (alpha, beta) in O(lam) x O(mu)
+with alpha + beta = nu.  Every point of O(nu) is hit equally often, and
+permuting beta to mu shows that the pairs landing in O(nu) are |O(mu)| times
+the alpha with sort(alpha + mu) = nu.  So only one factor is expanded into
+full weights; the other keeps its dominant keys.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
+from operator import add
 from typing import Iterator
 
 from .errors import DegreeMixed, LengthExceedsN, VariableCountMismatch
@@ -20,28 +34,24 @@ EXTERIOR = "exterior"
 TRUNCATED = "truncated"
 
 
-def _distinct_permutations(values: tuple) -> Iterator[tuple]:
-    """All distinct orderings of a tuple (multiset permutations)."""
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    keys = sorted(counts)
-    n = len(values)
-    out: list[int] = []
+def _orbit(lam: Partition, n: int) -> list:
+    """Every distinct rearrangement of lam padded with zeros to n parts.
 
-    def rec():
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                out.append(k)
-                yield from rec()
-                out.pop()
-                counts[k] += 1
-
-    yield from rec()
+    Each part value is put on a combination of the positions still free, one
+    value after another, so the work grows with the orbit and never with n!.
+    """
+    weights = [([0] * n, tuple(range(n)))]
+    for v in set(lam):
+        k = lam.count(v)
+        grown = []
+        for w, free in weights:
+            for chosen in combinations(free, k):
+                placed = w.copy()
+                for i in chosen:
+                    placed[i] = v
+                grown.append((placed, tuple(i for i in free if i not in chosen)))
+        weights = grown
+    return [tuple(w) for w, _ in weights]
 
 
 class SymChar:
@@ -89,15 +99,6 @@ class SymChar:
         """Evaluation at all-ones: total weight multiplicity."""
         return sum(c * self.orbit_size(lam) for lam, c in self.coeffs.items())
 
-    def full_weights(self) -> dict:
-        """Multiplicity of every composition (length-n tuple) in the orbit expansion."""
-        out: dict[tuple, int] = {}
-        for lam, c in self.coeffs.items():
-            padded = lam + (0,) * (self.n - len(lam))
-            for w in _distinct_permutations(padded):
-                out[w] = c
-        return out
-
     def __add__(self, other: "SymChar") -> "SymChar":
         self._check_compatible(other)
         out = dict(self.coeffs)
@@ -121,28 +122,42 @@ class SymChar:
             raise DegreeMixed(f"degree {self.degree} vs {other.degree}")
 
     def __mul__(self, other: "SymChar") -> "SymChar":
-        """Product as symmetric functions (orbit convolution)."""
+        """Product as symmetric functions, by orbit-stabilizer counting.
+
+        One factor is expanded into its full weights alpha and each is added
+        to every dominant key mu of the other, padded to n parts.  The sorted
+        sum nu gains c_lam * c_mu * |O(mu)|, and each total is divided by
+        |O(nu)| at the end; the division is exact (see the module docstring)
+        and a remainder raises.  The factor expanded is the one that gives
+        fewer (alpha, mu) pairs.
+        """
         if not isinstance(other, SymChar):
             return NotImplemented
         if self.n != other.n:
             raise VariableCountMismatch(f"{self.n} vs {other.n} variables")
-        deg = self.degree + other.degree
+        n, deg = self.n, self.degree + other.degree
         if self.is_zero() or other.is_zero():
-            return SymChar(self.n, deg, {})
-        f1 = self.full_weights()
-        f2 = other.full_weights()
-        if len(f2) < len(f1):
-            f1, f2 = f2, f1
-        conv: dict[tuple, int] = {}
-        for w1, c1 in f1.items():
-            for w2, c2 in f2.items():
-                key = tuple(a + b for a, b in zip(w1, w2))
-                conv[key] = conv.get(key, 0) + c1 * c2
+            return SymChar(n, deg, {})
+
+        def pairs(expanded: SymChar, keyed: SymChar) -> int:
+            return sum(map(expanded.orbit_size, expanded.coeffs)) * len(keyed.coeffs)
+
+        expanded, keyed = (other, self) if pairs(other, self) < pairs(self, other) else (self, other)
+        keys = [(mu + (0,) * (n - len(mu)), c * keyed.orbit_size(mu)) for mu, c in keyed.coeffs.items()]
+        counts: dict[tuple, int] = {}
+        for lam, c in expanded.coeffs.items():
+            scaled = [(mu, c * cm) for mu, cm in keys]
+            for alpha in _orbit(lam, n):
+                for mu, cm in scaled:
+                    nu = tuple(sorted(map(add, alpha, mu), reverse=True))
+                    counts[nu] = counts.get(nu, 0) + cm
         out = {}
-        for w, c in conv.items():
-            if all(w[i] >= w[i + 1] for i in range(len(w) - 1)):
-                out[partition(w)] = c
-        return SymChar(self.n, deg, out)
+        for nu, total in counts.items():
+            coeff, rem = divmod(total, self.orbit_size(nu))
+            if rem:
+                raise ArithmeticError(f"count {total} of {nu} is not a multiple of its orbit size")
+            out[nu[: n - nu.count(0)]] = coeff
+        return SymChar(n, deg, out)
 
 
 def zero_char(n: int, degree: int = 0) -> SymChar:
@@ -175,7 +190,8 @@ def _horizontal_strip_removals(lam: Partition, k: int) -> Iterator[Partition]:
     def rec(i: int, rem: int, acc: list):
         if i == n:
             if rem == 0:
-                yield partition(acc)
+                # lam[i+1] <= acc[i] <= lam[i] keeps acc weakly decreasing
+                yield tuple(acc[: n - acc.count(0)])
             return
         lo = lam[i + 1] if i + 1 < n else 0
         for v in range(lam[i], lo - 1, -1):

@@ -48,7 +48,14 @@ def _pkey(lam) -> str:
 def _positive_int(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not positive")
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
@@ -208,10 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("partition", help="JSON array, e.g. \"[7,4,3]\"")
     pc.add_argument("--p", type=_prime, required=True, help="the prime")
-    pc.add_argument("--n", type=int, default=None, help="ambient variable count (optional)")
+    pc.add_argument("--n", type=_positive_int, default=None, help="ambient variable count (optional)")
     pc.add_argument("--predicate", required=True, choices=PREDICATES)
-    pc.add_argument("--a", type=int, default=0, help="row bound for --predicate bounded")
-    pc.add_argument("--b", type=int, default=0, help="column bound for --predicate bounded")
+    pc.add_argument("--a", type=_non_negative_int, default=0, help="row bound for --predicate bounded")
+    pc.add_argument("--b", type=_non_negative_int, default=0, help="column bound for --predicate bounded")
     pc.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     pc.add_argument("--out", default=None)
 
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="decompose a product of character atoms into Schur characters",
         description="Atoms: h<r>, e<r>, sbar<r>@<p>, s[...]; operator * only.",
     )
-    cd.add_argument("--n", type=int, required=True)
+    cd.add_argument("--n", type=_positive_int, required=True)
     cd.add_argument("--expr", required=True)
     cd.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
     cd.add_argument("--out", default=None)
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     of.add_argument("--p", type=_prime, required=True)
-    of.add_argument("--n", type=int, required=True)
+    of.add_argument("--n", type=_positive_int, required=True)
     of.add_argument("--spec", required=True, help='e.g. "S:4,S:3" or "Sbar:2,Wedge:1"')
     of.add_argument("--cache", default=None, help="cache directory (or SCHURKIT_CACHE)")
     of.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
@@ -270,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     en.add_argument("--family", required=True, choices=FAMILIES)
     en.add_argument("--p", type=_prime, required=True)
-    en.add_argument("--n", type=int, required=True)
-    en.add_argument("--degree", type=int, required=True)
+    en.add_argument("--n", type=_positive_int, required=True)
+    en.add_argument("--degree", type=_non_negative_int, required=True)
     en.add_argument("--cache", default=None)
     en.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
     en.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
@@ -291,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--suite", choices=sorted(SUITES), default=None)
     ve.add_argument("--tier", choices=("fast", "extended"), default=None)
     ve.add_argument("--p", type=_prime, default=None)
-    ve.add_argument("--n", type=int, default=None)
-    ve.add_argument("--rmax", "--degree", dest="rmax", type=int, default=None)
-    ve.add_argument("--bound", type=int, default=30, help="degree bound for the combinatorial suite")
+    ve.add_argument("--n", type=_positive_int, default=None)
+    ve.add_argument("--rmax", "--degree", dest="rmax", type=_non_negative_int, default=None)
+    ve.add_argument("--bound", type=_non_negative_int, default=30, help="degree bound for the combinatorial suite")
     ve.add_argument("--cache", default=None)
     ve.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
     ve.add_argument("--format", choices=("json", "csv", "pretty"), default="json")

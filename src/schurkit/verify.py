@@ -169,9 +169,10 @@ def _check_bounded_duality(p, bound):
     start = time.time()
     bad = []
     for lam in partitions_up_to(min(bound, 25)):
+        conj = transpose(lam)
         for a in range(5):
             for b in range(5):
-                if is_bounded(lam, a, b) != is_bounded(transpose(lam), b, a):
+                if is_bounded(lam, a, b) != is_bounded(conj, b, a):
                     bad.append({"partition": list(lam), "a": a, "b": b})
     return _sub("combinatorial/bounded-duality", {"bound": min(bound, 25)}, bad, start)
 

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -64,8 +65,13 @@ def ssyt_count(shape, content):
 
 
 def poly_of_char(chi):
-    """Full composition->coefficient dict (the character as a polynomial)."""
-    return chi.full_weights()
+    """Full composition->coefficient dict (the character as a polynomial),
+    by brute force over every permutation of each key padded to n parts."""
+    out = {}
+    for lam, c in chi.coeffs.items():
+        for w in set(itertools.permutations(lam + (0,) * (chi.n - len(lam)))):
+            out[w] = c
+    return out
 
 
 def poly_mul(f, g, n):
@@ -118,19 +124,45 @@ def test_multiply_examples():
         power_char(COMPLETE, 1, 2) * power_char(COMPLETE, 1, 3)
 
 
-def test_multiply_against_polynomial_oracle():
-    n = 3
+def _product_atoms(n):
+    """Characters in n variables that products meet: the degree-0 unit that
+    product_char starts from, a zero character, complete, exterior and Schur
+    characters, a virtual character and truncated powers at three primes."""
+    virtual = {(3,): -2, (2, 1): 1, (1, 1, 1): -3}
     atoms = [
+        SymChar(n, 0, {(): 1}),
+        zero_char(n, 2),
         power_char(COMPLETE, 2, n),
+        power_char(COMPLETE, 3, n),
         power_char(EXTERIOR, 2, n),
-        schur_char((2, 1), n),
-        power_char(TRUNCATED, 2, n, p=2),
+        SymChar(n, 3, {lam: c for lam, c in virtual.items() if len(lam) <= n}),
+        power_char(TRUNCATED, 3, n, p=2),
+        power_char(TRUNCATED, 4, n, p=3),
+        power_char(TRUNCATED, 4, n, p=5),
     ]
-    for c1, c2 in itertools.product(atoms, repeat=2):
-        prod = c1 * c2
-        expect = poly_mul(poly_of_char(c1), poly_of_char(c2), n)
-        got = poly_of_char(prod)
-        assert {k: v for k, v in expect.items() if v} == {k: v for k, v in got.items() if v}
+    if n >= 2:
+        atoms.append(schur_char((2, 1), n))
+    return atoms
+
+
+def test_multiply_against_polynomial_oracle():
+    for n in range(1, 6):
+        atoms = _product_atoms(n)
+        assert any(c < 0 for chi in atoms for c in chi.coeffs.values())
+        for c1, c2 in itertools.product(atoms, repeat=2):
+            prod = c1 * c2
+            assert (prod.n, prod.degree) == (n, c1.degree + c2.degree)
+            expect = poly_mul(poly_of_char(c1), poly_of_char(c2), n)
+            got = poly_of_char(prod)
+            assert {k: v for k, v in expect.items() if v} == got, (c1, c2)
+
+
+def test_multiply_in_many_variables():
+    # an n! walk over the weights of h3 or h2 would not finish at n = 12
+    n = 12
+    prod = power_char(COMPLETE, 3, n) * power_char(COMPLETE, 2, n)
+    assert prod.dim() == comb(14, 3) * comb(13, 2)
+    assert decompose_schur(prod) == {(5,): 1, (4, 1): 1, (3, 2): 1}
 
 
 def test_decompose_schur_examples():
@@ -189,8 +221,6 @@ def test_dim_consistency():
     for n in (2, 3, 4):
         for r in range(7):
             assert power_char(COMPLETE, r, n).dim() == dim_complete(r, n)
-            from math import comb
-
             assert power_char(EXTERIOR, r, n).dim() == comb(n, r)
             assert schur_char(partition([r]), n).dim() == dim_complete(r, n)
 

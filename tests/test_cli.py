@@ -250,6 +250,40 @@ def test_p_must_be_prime(p, capsys):
         assert "not a prime" in capsys.readouterr().err
 
 
+# each subcommand with valid counts; the test swaps one count for a bad value
+COUNTED = {
+    "chars": (["chars", "decompose", "--expr", "h2*h1"], {"--n": "3"}),
+    "oracle": (["oracle", "factors", "--p", "2", "--spec", "S:2"], {"--n": "3"}),
+    "enumerate": (["enumerate", "--family", "SS", "--p", "2"], {"--n": "3", "--degree": "3"}),
+    "verify": (["verify", "--suite", "thm-2good", "--p", "2"], {"--n": "3", "--rmax": "3"}),
+    "verify-combinatorial": (["verify", "--suite", "combinatorial", "--p", "2"], {"--bound": "3"}),
+    "classify": (["classify", "[3,1]", "--p", "2", "--predicate", "bounded"], {"--n": "3", "--a": "1", "--b": "1"}),
+}
+BAD_COUNTS = {
+    "--n": (("0", "-1"), "must be positive", "1"),
+    "--rmax": (("-1",), "must be non-negative", "0"),
+    "--degree": (("-2",), "must be non-negative", "0"),
+    "--bound": (("-1",), "must be non-negative", "0"),
+    "--a": (("-1",), "must be non-negative", "0"),
+    "--b": (("-1",), "must be non-negative", "0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COUNTED))
+def test_counts_that_check_nothing_are_rejected(command, capsys):
+    base, counts = COUNTED[command]
+    for flag in counts:
+        others = [x for f, v in counts.items() if f != flag for x in (f, v)]
+        bad_values, message, least = BAD_COUNTS[flag]
+        for value in bad_values:
+            with pytest.raises(SystemExit) as exc:
+                main(base + others + [flag, value])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+        # the smallest allowed value parses
+        assert getattr(build_parser().parse_args(base + others + [flag, least]), flag[2:]) == int(least)
+
+
 def test_budget_trip_keeps_computed_characters(tmp_path, capsys, monkeypatch):
     # every lambda of degree at most 5 needs at most 8; (4,2) needs 18
     argv = ("verify", "--suite", "thm-2good", "--p", "2", "--n", "3", "--budget", "8")
