@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from math import isqrt
 
 from . import classify as cls
 from .characters import char_from_expr, decompose_schur
@@ -59,9 +58,30 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86 (2017)).  The first 12 alone pass the composite
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < PRIME_LIMIT."""
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # 2**s is the largest power of 2 dividing m
+    d = m >> s
+    # n is a strong probable prime to base a when a**d = 1 or a**(d * 2**k) = -1 mod n for some k < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == m for k in range(s)) for a in _PRIME_BASES)
+
+
 def _prime(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 2 or any(value % d == 0 for d in range(2, isqrt(value) + 1)):
+    if value >= PRIME_LIMIT:
+        raise argparse.ArgumentTypeError(f"{value} is too large: --p must be below {PRIME_LIMIT}")
+    if not _is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not a prime")
     return value
 
@@ -191,66 +211,82 @@ def _to_csv(doc) -> str:
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="schurkit",
-        description=(
-            "Classify highest weights of composition factors of tensor products of "
-            "symmetric powers in characteristic p, and verify the classification "
-            "against a brute-force modular character oracle."
-        ),
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+# subcommand name -> (add_parser keywords, function adding its arguments), in help order
+COMMANDS: dict = {}
 
-    pc = sub.add_parser(
-        "classify",
-        help="evaluate a classification predicate on one partition",
-        description=(
-            "Evaluate one predicate on one partition: membership tests for factors "
-            "of truncated/full symmetric-power products (1special, 2special, "
-            "21special, standard/2good), digit-chain roles (beginning, middle, end, "
-            "primitive), three-row criticality, divisibility index and first-kernel "
-            "injectivity, and the two Specht-module corollaries."
-        ),
-    )
+
+def _command(name: str, **parser_kwargs):
+    """Register the decorated function as the argument builder of `name`."""
+
+    def register(add_arguments):
+        COMMANDS[name] = (parser_kwargs, add_arguments)
+        return add_arguments
+    return register
+
+
+def _output_options(parser) -> None:
+    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
+    parser.add_argument("--out", default=None)
+
+
+def _table_options(parser, cache_help=None) -> None:
+    """--cache and --budget of the oracle-backed subcommands, then the output options."""
+    parser.add_argument("--cache", default=None, help=cache_help)
+    parser.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
+    _output_options(parser)
+
+
+@_command(
+    "classify",
+    help="evaluate a classification predicate on one partition",
+    description=(
+        "Evaluate one predicate on one partition: membership tests for factors "
+        "of truncated/full symmetric-power products (1special, 2special, "
+        "21special, standard/2good), digit-chain roles (beginning, middle, end, "
+        "primitive), three-row criticality, divisibility index and first-kernel "
+        "injectivity, and the two Specht-module corollaries."
+    ),
+)
+def _classify_arguments(pc) -> None:
     pc.add_argument("partition", help="JSON array, e.g. \"[7,4,3]\"")
     pc.add_argument("--p", type=_prime, required=True, help="the prime")
     pc.add_argument("--n", type=_positive_int, default=None, help="ambient variable count (optional)")
     pc.add_argument("--predicate", required=True, choices=PREDICATES)
     pc.add_argument("--a", type=_non_negative_int, default=0, help="row bound for --predicate bounded")
     pc.add_argument("--b", type=_non_negative_int, default=0, help="column bound for --predicate bounded")
-    pc.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    pc.add_argument("--out", default=None)
+    _output_options(pc)
 
-    pp = sub.add_parser(
-        "parse",
-        help="decompose a partition into shifted primitive blocks",
-        description=(
-            "Write the partition as a chain of shifted primitive partitions (the "
-            "standard form); a partition admits such a chain exactly when it labels "
-            "a factor of the twofold symmetric power, and the chain is unique."
-        ),
-    )
+
+@_command(
+    "parse",
+    help="decompose a partition into shifted primitive blocks",
+    description=(
+        "Write the partition as a chain of shifted primitive partitions (the "
+        "standard form); a partition admits such a chain exactly when it labels "
+        "a factor of the twofold symmetric power, and the chain is unique."
+    ),
+)
+def _parse_arguments(pp) -> None:
     pp.add_argument("partition")
     pp.add_argument("--p", type=_prime, required=True)
-    pp.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    pp.add_argument("--out", default=None)
+    _output_options(pp)
 
-    ch = sub.add_parser("chars", help="symmetric character arithmetic")
-    chsub = ch.add_subparsers(dest="chars_command", required=True)
-    cd = chsub.add_parser(
+
+@_command("chars", help="symmetric character arithmetic")
+def _chars_arguments(ch) -> None:
+    cd = ch.add_subparsers(dest="chars_command", required=True).add_parser(
         "decompose",
         help="decompose a product of character atoms into Schur characters",
         description="Atoms: h<r>, e<r>, sbar<r>@<p>, s[...]; operator * only.",
     )
     cd.add_argument("--n", type=_positive_int, required=True)
     cd.add_argument("--expr", required=True)
-    cd.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    cd.add_argument("--out", default=None)
+    _output_options(cd)
 
-    orc = sub.add_parser("oracle", help="brute-force composition factors")
-    orcsub = orc.add_subparsers(dest="oracle_command", required=True)
-    of = orcsub.add_parser(
+
+@_command("oracle", help="brute-force composition factors")
+def _oracle_arguments(orc) -> None:
+    of = orc.add_subparsers(dest="oracle_command", required=True).add_parser(
         "factors",
         help="composition factors of a product of powers",
         description=(
@@ -262,56 +298,72 @@ def build_parser() -> argparse.ArgumentParser:
     of.add_argument("--p", type=_prime, required=True)
     of.add_argument("--n", type=_positive_int, required=True)
     of.add_argument("--spec", required=True, help='e.g. "S:4,S:3" or "Sbar:2,Wedge:1"')
-    of.add_argument("--cache", default=None, help="cache directory (or SCHURKIT_CACHE)")
-    of.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
-    of.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    of.add_argument("--out", default=None)
+    _table_options(of, cache_help="cache directory (or SCHURKIT_CACHE)")
 
-    en = sub.add_parser(
-        "enumerate",
-        help="all factor labels of a family at one degree",
-        description=(
-            "Union of composition-factor sets over all degree splits of a family: "
-            "SS (symmetric x symmetric), SbarSbar, SbarSbarWedge, Sbar, S."
-        ),
-    )
+
+@_command(
+    "enumerate",
+    help="all factor labels of a family at one degree",
+    description=(
+        "Union of composition-factor sets over all degree splits of a family: "
+        "SS (symmetric x symmetric), SbarSbar, SbarSbarWedge, Sbar, S."
+    ),
+)
+def _enumerate_arguments(en) -> None:
     en.add_argument("--family", required=True, choices=FAMILIES)
     en.add_argument("--p", type=_prime, required=True)
     en.add_argument("--n", type=_positive_int, required=True)
     en.add_argument("--degree", type=_non_negative_int, required=True)
-    en.add_argument("--cache", default=None)
-    en.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
-    en.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    en.add_argument("--out", default=None)
+    _table_options(en)
 
-    ve = sub.add_parser(
-        "verify",
-        help="run a theorem suite against the oracle",
-        description=(
-            "Suites: thm-2good (factors of the twofold symmetric power are the "
-            "standard partitions), thm-21special (factors of truncated x truncated "
-            "x exterior are the mu + omega_s partitions), 1special (truncated-power "
-            "baseline), combinatorial (structural identities), oracle-self "
-            "(internal audits).  Exit code 0 iff every report passes."
-        ),
-    )
+
+@_command(
+    "verify",
+    help="run a theorem suite against the oracle",
+    description=(
+        "Suites: thm-2good (factors of the twofold symmetric power are the "
+        "standard partitions), thm-21special (factors of truncated x truncated "
+        "x exterior are the mu + omega_s partitions), 1special (truncated-power "
+        "baseline), combinatorial (structural identities), oracle-self "
+        "(internal audits).  Exit code 0 iff every report passes."
+    ),
+)
+def _verify_arguments(ve) -> None:
     ve.add_argument("--suite", choices=sorted(SUITES), default=None)
     ve.add_argument("--tier", choices=("fast", "extended"), default=None)
     ve.add_argument("--p", type=_prime, default=None)
     ve.add_argument("--n", type=_positive_int, default=None)
     ve.add_argument("--rmax", "--degree", dest="rmax", type=_non_negative_int, default=None)
     ve.add_argument("--bound", type=_non_negative_int, default=30, help="degree bound for the combinatorial suite")
-    ve.add_argument("--cache", default=None)
-    ve.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
-    ve.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    ve.add_argument("--out", default=None)
+    _table_options(ve)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The schurkit argument parser.  With `command`, a key of COMMANDS, only that
+    subcommand is added, and its argument lists parse as in the full parser."""
+    ap = argparse.ArgumentParser(
+        prog="schurkit",
+        description=(
+            "Classify highest weights of composition factors of tensor products of "
+            "symmetric powers in characteristic p, and verify the classification "
+            "against a brute-force modular character oracle."
+        ),
+    )
+    # a one-command usage line still lists every command; in the full parser a
+    # metavar would rename the argument "command" in its invalid-choice message
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        parser_kwargs, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, **parser_kwargs))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # help, a missing or an unknown command get the full parser and its messages
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return _dispatch(args)
     except ResourceBudgetExceeded as exc:

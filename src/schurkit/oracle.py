@@ -68,7 +68,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Optional
 
 from .characters import SymChar, _horizontal_strip_removals, power_char
-from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded
+from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError
 from .partitions import Partition, partition, partitions_of, transpose
 
 DEFAULT_BUDGET = 300_000
@@ -359,16 +359,30 @@ class SimpleTable:
             raise
 
     def load(self, path) -> int:
+        """Add the records of path to the table and return how many there were.
+
+        A record that is not JSON, lacks a key, holds a bad partition, a
+        coefficient that is not an integer or a bad character, or a lambda
+        with more than n parts, raises SchurkitError naming the file and the
+        line."""
         count = 0
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                lam = partition(rec["lambda"])
-                coeffs = {partition(json.loads(k)): v for k, v in rec["char"].items()}
-                self.cache[lam] = SymChar(self.n, sum(lam), coeffs)
+                try:
+                    rec = json.loads(line)
+                    lam = partition(rec["lambda"])
+                    if len(lam) > self.n:
+                        raise LengthExceedsN(f"lambda {list(lam)} has more than {self.n} parts")
+                    coeffs = {partition(json.loads(k)): v for k, v in rec["char"].items()}
+                    if any(type(c) is not int for c in coeffs.values()):
+                        raise SchurkitError(f"coefficients must be integers: {rec['char']}")
+                    chi = SymChar(self.n, sum(lam), coeffs)
+                except (SchurkitError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise SchurkitError(f"bad cache record in {path}, line {lineno}: {type(exc).__name__}: {exc}") from exc
+                self.cache[lam] = chi
                 count += 1
         return count
 

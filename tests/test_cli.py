@@ -2,12 +2,15 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from schurkit import verify
-from schurkit.cli import build_parser, main
+from schurkit.cli import COMMANDS, PRIME_LIMIT, build_parser, main
 from schurkit.oracle import SimpleTable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -235,7 +238,9 @@ def test_budget_must_be_positive(budget):
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("p", ["1", "4", "6"])
+# 998244359987710471 = 1000000007 * 998244353; the last is a strong
+# pseudoprime to the twelve prime bases 2..37
+@pytest.mark.parametrize("p", ["1", "4", "6", "998244359987710471", "318665857834031151167461"])
 def test_p_must_be_prime(p, capsys):
     for argv in (
         ["oracle", "factors", "--n", "2", "--spec", "S:4,S:2"],
@@ -248,6 +253,17 @@ def test_p_must_be_prime(p, capsys):
             main(argv + ["--p", p])
         assert exc.value.code == 2
         assert "not a prime" in capsys.readouterr().err
+
+
+def test_large_primes_are_tested_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "classify", "[3,1]", "--p", str(2**61 - 1), "--predicate", "standard")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["p"] == 2**61 - 1
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "[3,1]", "--p", str(PRIME_LIMIT), "--predicate", "standard"])
+    assert exc.value.code == 2
+    assert "too large" in capsys.readouterr().err
 
 
 # each subcommand with valid counts; the test swaps one count for a bad value
@@ -315,3 +331,79 @@ def test_pretty_format(capsys):
     assert code == 0
     assert json.loads(out)["value"] is True
     assert "\n" in out.strip()  # indented
+
+
+@pytest.mark.parametrize(
+    "corrupt, line",
+    [
+        (lambda text: text[:60], 2),  # truncated inside the second record
+        (lambda text: text + "not json\n", 4),
+        (lambda text: text + '{"lambda":[1,1,1],"char":{"[1,1,1]":1}}\n', 4),  # more than n parts
+        (lambda text: text.replace('"[4]":1', '"[4]":"1"'), 3),
+    ],
+    ids=["truncated", "not-json", "too-many-parts", "string-coefficient"],
+)
+def test_bad_cache_record_exits_2(corrupt, line, tmp_path, capsys):
+    argv = ("oracle", "factors", "--p", "2", "--n", "2", "--spec", "S:4", "--cache", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == 0
+    path = tmp_path / "simple_p2_n2.jsonl"
+    assert len(path.read_text().splitlines()) == 3
+    path.write_text(corrupt(path.read_text()))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"{path}, line {line}:" in err
+
+
+def _readme_argvs():
+    text = README.read_text()
+    section = text[text.index("## Command line") :]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("schurkit ")]
+
+
+PARSER_CORPUS = (
+    _readme_argvs()
+    + [[name, "-h"] for name in COMMANDS]
+    + [
+        ["chars", "decompose", "-h"],
+        ["oracle", "factors", "-h"],
+        ["chars"],
+        ["chars", "decompose", "--n", "3", "--expr", "h1", "extra"],
+        ["enumerate", "--family", "XX", "--p", "2", "--n", "3", "--degree", "3"],
+        ["oracle", "factors", "--p", "4", "--n", "3", "--spec", "S:3"],
+    ]
+)
+
+
+def _parse_outcome(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_one_command_parser_agrees_with_full_parser(argv, capsys):
+    # the same Namespace, or the same exit code and the same text
+    assert _parse_outcome(build_parser(argv[0]), argv, capsys) == _parse_outcome(build_parser(), argv, capsys)
+
+
+def test_one_command_parser_registers_only_that_command(capsys):
+    parser = build_parser("chars")
+    assert parser.format_usage() == build_parser().format_usage()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["parse", "--p", "2", "[2]"])
+    assert "invalid choice: 'parse' (choose from 'chars')" in capsys.readouterr().err
+
+
+def test_python_m_schurkit():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "schurkit", "chars", "decompose", "--n", "3", "--expr", "h2*h1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == '{"schur":{"[3]":1,"[2,1]":1}}\n'
