@@ -21,13 +21,13 @@ full weights; the other keeps its dominant keys.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, dropwhile
 from math import comb, factorial
 from operator import add
 from typing import Iterator
 
 from .errors import DegreeMixed, LengthExceedsN, VariableCountMismatch
-from .partitions import Partition, partition, partitions_of
+from .partitions import PRIME_LIMIT, Partition, is_prime, partition, partitions_of
 
 COMPLETE = "complete"
 EXTERIOR = "exterior"
@@ -236,28 +236,63 @@ def power_char(kind: str, r: int, n: int, p: int | None = None) -> SymChar:
 
 
 def decompose_schur(chi: SymChar) -> dict:
-    """Coefficients of chi in the Schur basis.
+    """Coefficients of chi in the Schur basis, by Jacobi-Trudi pairing.
 
-    Greedy: the lexicographically greatest supported weight is dominance
-    maximal, so subtracting that multiple of its Schur character strictly
-    shrinks the support in lex order.  Coefficients may be negative for
-    virtual characters.
+    Write chi = sum a_mu m_mu.  The Hall inner product has <m_mu, h_nu> =
+    delta_{mu nu}, and Jacobi-Trudi gives s_lam = det(h_{lam_i - i + j}) with
+    h_r = 0 for r < 0 (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.3.4 and I.4).  So
+
+        [s_lam] chi = <chi, s_lam> = sum over sigma in S_l of
+                      sgn(sigma) * a_{sort(alpha)},  alpha_i = lam_i - i + sigma(i),
+
+    over the l = len(lam) rows, where a term with a negative alpha_i is 0.
+    No Kostka number is needed.  Only lam with at most n parts are paired:
+    the s_lam with more vanish in n variables.
+
+    The first k entries of alpha sum to at least lam_1 + ... + lam_k, so
+    every sort(alpha) of a nonzero term dominates lam.  Dominance implies
+    lexicographic order, so a lam lexicographically greater than the largest
+    key of chi is dominated by no key, its coefficient is 0, and it is
+    skipped.  Coefficients may be negative for virtual characters.
     """
-    residual = dict(chi.coeffs)
+    if chi.is_zero():
+        return {}
+    top = max(chi.coeffs)
     out: dict[Partition, int] = {}
-    while residual:
-        lam = max(residual)
-        c = residual.pop(lam)
-        if c == 0:
-            continue
-        out[lam] = c
-        for mu, k in schur_char(lam, chi.n).coeffs.items():
-            if mu == lam:
-                continue
-            residual[mu] = residual.get(mu, 0) - c * k
-            if residual[mu] == 0:
-                del residual[mu]
+    for lam in dropwhile(lambda lam: lam > top, partitions_of(chi.degree, max_len=chi.n)):
+        c = _pair_with_schur(chi.coeffs, lam)
+        if c:
+            out[lam] = c
     return out
+
+
+def _pair_with_schur(coeffs: dict, lam: Partition) -> int:
+    """<chi, s_lam> for chi with monomial coefficients coeffs (see
+    decompose_schur).  sigma is built depth first from the bottom row and
+    never takes a column that makes alpha_i negative, so it reaches only the
+    terms that can be nonzero: prod over rows i = 1..l of min(i, lam_i + 1)."""
+    rows = len(lam)
+    alpha = [0] * rows
+    used = [False] * rows
+
+    def rows_up_from(i: int) -> int:
+        if i < 0:
+            return coeffs.get(tuple(sorted(filter(None, alpha), reverse=True)), 0)
+        total = 0
+        below = 0  # rows under i whose column lies left of j: their inversions with i
+        for j in range(rows):
+            if used[j]:
+                below += 1
+            elif j >= i - lam[i]:
+                used[j] = True
+                alpha[i] = lam[i] - i + j
+                term = rows_up_from(i - 1)
+                used[j] = False
+                total += -term if below & 1 else term
+        return total
+
+    return rows_up_from(rows - 1)
 
 
 def is_deficient(chi: SymChar, a: int, b: int) -> bool:
@@ -282,7 +317,10 @@ def dim_complete(r: int, n: int) -> int:
 
 
 def char_from_expr(expr: str, n: int) -> SymChar:
-    """Parse products of character atoms: h<r>, e<r>, sbar<r>@<p>, s[...]."""
+    """Parse products of character atoms: h<r>, e<r>, sbar<r>@<p>, s[...].
+
+    The p of sbar<r>@<p> must be a prime below PRIME_LIMIT; any other atom or
+    p raises ValueError naming the atom."""
     import json
     import re
 
@@ -294,7 +332,10 @@ def char_from_expr(expr: str, n: int) -> SymChar:
         elif m := re.fullmatch(r"e(\d+)", token):
             atom = power_char(EXTERIOR, int(m.group(1)), n)
         elif m := re.fullmatch(r"sbar(\d+)@(\d+)", token):
-            atom = power_char(TRUNCATED, int(m.group(1)), n, p=int(m.group(2)))
+            p = int(m.group(2))
+            if p >= PRIME_LIMIT or not is_prime(p):
+                raise ValueError(f"character atom {token!r}: {p} is not a prime below {PRIME_LIMIT}")
+            atom = power_char(TRUNCATED, int(m.group(1)), n, p=p)
         elif m := re.fullmatch(r"s(\[.*\])", token):
             atom = schur_char(partition(json.loads(m.group(1))), n)
         else:

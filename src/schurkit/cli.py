@@ -17,7 +17,7 @@ from . import classify as cls
 from .characters import char_from_expr, decompose_schur
 from .errors import ResourceBudgetExceeded, SchurkitError
 from .oracle import DEFAULT_BUDGET, FAMILIES, SimpleTable, composition_factors, enumerate_factors, factor_dimensions_check, product_char
-from .partitions import is_bounded, is_restricted, partition
+from .partitions import PRIME_LIMIT, is_bounded, is_prime, is_restricted, partition
 from .verify import SUITES, run_tier
 
 PREDICATES = (
@@ -58,30 +58,11 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
-# the least strong pseudoprime to all of them (Sorenson and Webster, Math.
-# Comp. 86 (2017)).  The first 12 alone pass the composite
-# 318665857834031151167461 = 399165290221 * 798330580441.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < PRIME_LIMIT."""
-    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
-        return n in _PRIME_BASES
-    m = n - 1
-    s = (m & -m).bit_length() - 1  # 2**s is the largest power of 2 dividing m
-    d = m >> s
-    # n is a strong probable prime to base a when a**d = 1 or a**(d * 2**k) = -1 mod n for some k < s
-    return all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == m for k in range(s)) for a in _PRIME_BASES)
-
-
 def _prime(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
     if value >= PRIME_LIMIT:
         raise argparse.ArgumentTypeError(f"{value} is too large: --p must be below {PRIME_LIMIT}")
-    if not _is_prime(value):
+    if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not a prime")
     return value
 

@@ -284,6 +284,19 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
     return SymChar(n, sum(lam), coeffs), max_dim
 
 
+def simple_char_defect(lam: Partition, coeffs: dict) -> str | None:
+    """Why coeffs, weight -> multiplicity, cannot be the character of the
+    simple module L(lam), or None.  Only the checks that need no Kostka
+    number are made: lam occurs once and every listed weight occurs."""
+    top = coeffs.get(lam, 0)
+    if top != 1:
+        return f"top weight {list(lam)} has multiplicity {top}, not 1"
+    for mu, c in coeffs.items():
+        if c <= 0:
+            return f"weight {list(mu)} has multiplicity {c}, not positive"
+    return None
+
+
 class SimpleTable:
     """Cache of simple characters for one (p, n).
 
@@ -362,8 +375,9 @@ class SimpleTable:
         """Add the records of path to the table and return how many there were.
 
         A record that is not JSON, lacks a key, holds a bad partition, a
-        coefficient that is not an integer or a bad character, or a lambda
-        with more than n parts, raises SchurkitError naming the file and the
+        coefficient that is not an integer or a bad character, a lambda with
+        more than n parts, a top coefficient other than 1 or a coefficient
+        that is not positive, raises SchurkitError naming the file and the
         line."""
         count = 0
         with open(path) as fh:
@@ -379,6 +393,8 @@ class SimpleTable:
                     coeffs = {partition(json.loads(k)): v for k, v in rec["char"].items()}
                     if any(type(c) is not int for c in coeffs.values()):
                         raise SchurkitError(f"coefficients must be integers: {rec['char']}")
+                    if defect := simple_char_defect(lam, coeffs):
+                        raise SchurkitError(defect)
                     chi = SymChar(self.n, sum(lam), coeffs)
                 except (SchurkitError, ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise SchurkitError(f"bad cache record in {path}, line {lineno}: {type(exc).__name__}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Partitions and Young-diagram node calculus.
+"""Partitions and Young-diagram node calculus, and the primality test for p.
 
 A partition is stored as a tuple of positive integers, weakly decreasing,
 conceptually padded with zeros on the right; the empty tuple is the zero
@@ -139,6 +139,27 @@ def partitions_up_to(rmax: int, max_len: int | None = None, max_part: int | None
     """All partitions of degree 0..rmax (degree ascending)."""
     for r in range(rmax + 1):
         yield from partitions_of(r, max_len=max_len, max_part=max_part)
+
+
+# --- primes ------------------------------------------------------------------
+
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86 (2017)).  The first 12 alone pass the composite
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < PRIME_LIMIT."""
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    m = n - 1
+    s = (m & -m).bit_length() - 1  # 2**s is the largest power of 2 dividing m
+    d = m >> s
+    # n is a strong probable prime to base a when a**d = 1 or a**(d * 2**k) = -1 mod n for some k < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << k, n) == m for k in range(s)) for a in _PRIME_BASES)
 
 
 # --- p-adic digits -----------------------------------------------------------

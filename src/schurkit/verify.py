@@ -388,7 +388,7 @@ def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
     """Gram sanity, Steinberg, semisimple range, block gate, dimension audit,
     stability in n, and restricted good = special."""
     from .characters import frobenius_twist, kostka, schur_char
-    from .oracle import decompose_simples, factor_dimensions_check, product_char
+    from .oracle import decompose_simples, factor_dimensions_check, product_char, simple_char_defect
     from .partitions import Dominance, dominance_leq, restricted_split
 
     subs = []
@@ -398,10 +398,10 @@ def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
     lams = list(partitions_up_to(rmax, max_len=n))
     for lam in lams:
         chi = table.char(lam)
-        if chi.coeffs.get(lam) != 1:
-            bad.append({"partition": list(lam), "reason": "top multiplicity not 1"})
+        if defect := simple_char_defect(lam, chi.coeffs):
+            bad.append({"partition": list(lam), "reason": defect})
         for mu, c in chi.coeffs.items():
-            if c < 0 or c > kostka(lam, mu) or dominance_leq(mu, lam) is not Dominance.LEQ:
+            if c > kostka(lam, mu) or dominance_leq(mu, lam) is not Dominance.LEQ:
                 bad.append({"partition": list(lam), "weight": list(mu)})
     subs.append(_sub("oracle-self/gram-sanity", {"p": p, "n": n, "rmax": rmax}, bad, start))
 

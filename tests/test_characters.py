@@ -1,4 +1,5 @@
 import itertools
+import math
 from math import comb
 
 import pytest
@@ -80,6 +81,24 @@ def poly_mul(f, g, n):
         for w2, c2 in g.items():
             key = tuple(a + b for a, b in zip(w1, w2))
             out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def greedy_decompose_schur(chi):
+    """Schur coefficients by greedy Kostka subtraction: the lexicographically
+    greatest supported weight is dominance maximal, so subtracting that
+    multiple of its Schur character strictly shrinks the support."""
+    residual = dict(chi.coeffs)
+    out = {}
+    while residual:
+        lam = max(residual)
+        c = residual.pop(lam)
+        out[lam] = c
+        for mu, k in schur_char(lam, chi.n).coeffs.items():
+            if mu != lam:
+                residual[mu] = residual.get(mu, 0) - c * k
+                if residual[mu] == 0:
+                    del residual[mu]
     return out
 
 
@@ -180,6 +199,75 @@ def test_decompose_schur_examples():
                 if len(lam) <= n2:
                     want[lam] = 1
             assert decompose_schur(prod) == want
+
+
+def _decompose_atoms(n):
+    """Atoms h, e, sbar@2, sbar@3 and s[...] of degree at most 4, a virtual
+    character, the zero character and the degree-0 unit, in n variables."""
+    virtual = {(3,): -2, (2, 1): 1, (1, 1, 1): -3}
+    atoms = [SymChar(n, 0, {(): 1}), zero_char(n, 2), SymChar(n, 3, {lam: c for lam, c in virtual.items() if len(lam) <= n})]
+    for r in range(1, 5):
+        atoms += [power_char(COMPLETE, r, n), power_char(EXTERIOR, r, n)]
+        atoms += [power_char(TRUNCATED, r, n, p=p) for p in (2, 3)]
+    atoms += [schur_char(lam, n) for lam in ((2, 1), (2, 2), (3, 1), (2, 1, 1)) if len(lam) <= n]
+    return _distinct(atoms)
+
+
+def _distinct(chars):
+    return list({(chi.degree, frozenset(chi.coeffs.items())): chi for chi in chars}.values())
+
+
+def test_decompose_schur_against_greedy_kostka():
+    # every product of two or three atoms of total degree at most 9
+    for n in range(1, 7):
+        atoms = _decompose_atoms(n)
+        pairs = {}
+        for i, j in itertools.combinations_with_replacement(range(len(atoms)), 2):
+            if atoms[i].degree + atoms[j].degree <= 9:
+                pairs[i, j] = atoms[i] * atoms[j]
+        triples = [
+            pair * atoms[k]
+            for (_, j), pair in pairs.items()
+            for k in range(j, len(atoms))
+            if pair.degree + atoms[k].degree <= 9
+        ]
+        chars = _distinct(atoms + list(pairs.values()) + triples)
+        assert any(c < 0 for chi in chars for c in chi.coeffs.values())
+        assert any(chi.is_zero() for chi in chars)
+        for chi in chars:
+            assert decompose_schur(chi) == greedy_decompose_schur(chi), chi
+
+
+class _CountingCoeffs(dict):
+    """Monomial coefficients that count lookups and fail past a budget."""
+
+    def __init__(self, coeffs, budget):
+        super().__init__(coeffs)
+        self.left = budget
+
+    def get(self, key, default=None):
+        self.left -= 1
+        assert self.left >= 0, "more lookups than Jacobi-Trudi terms with no negative entry"
+        return super().get(key, default)
+
+
+def test_decompose_schur_skips_lex_greater_shapes_and_negative_entries():
+    n = 12
+    chi = power_char(EXTERIOR, 6, n) * power_char(EXTERIOR, 6, n)
+    want = greedy_decompose_schur(chi)
+    assert want == {(2,) * k + (1,) * (12 - 2 * k): 1 for k in range(7)}
+    # only the shapes lex below the top key (2^6) are paired, and each over the
+    # prod_i min(i, lam_i + 1) permutations with no negative entry: 4634
+    # lookups, where every shape paired over all of S_l would take ~5 * 10^8
+    top = max(chi.coeffs)
+    budget = sum(
+        math.prod(min(i, part + 1) for i, part in enumerate(lam, 1))
+        for lam in partitions_of(12, max_len=n)
+        if lam <= top
+    )
+    assert budget == 4634
+    chi.coeffs = _CountingCoeffs(chi.coeffs, budget)
+    assert decompose_schur(chi) == want
 
 
 def test_decompose_schur_roundtrip():

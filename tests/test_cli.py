@@ -79,11 +79,29 @@ def test_chars_decompose(capsys):
     code, out, _ = run_cli(capsys, "chars", "decompose", "--n", "3", "--expr", "h2*h1")
     assert code == 0
     assert json.loads(out) == {"schur": {"[3]": 1, "[2,1]": 1}}
+    code, out, _ = run_cli(capsys, "chars", "decompose", "--n", "3", "--expr", "sbar3@2")
+    assert code == 0 and json.loads(out) == {"schur": {"[1,1,1]": 1}}
 
 
 def test_chars_bad_expr(capsys):
     code, _, err = run_cli(capsys, "chars", "decompose", "--n", "3", "--expr", "zz*h1")
     assert code == 2 and "zz" in err
+
+
+@pytest.mark.parametrize(
+    "expr, atom",
+    [
+        ("sbar3@4", "sbar3@4"),
+        ("sbar3@0", "sbar3@0"),
+        ("h1*sbar2@1", "sbar2@1"),
+        ("sbar2@9*h1", "sbar2@9"),
+        (f"sbar3@{PRIME_LIMIT}", f"sbar3@{PRIME_LIMIT}"),
+    ],
+)
+def test_chars_truncated_power_needs_a_prime(expr, atom, capsys):
+    code, out, err = run_cli(capsys, "chars", "decompose", "--n", "3", "--expr", expr)
+    assert code == 2 and out == ""
+    assert f"'{atom}'" in err and "not a prime" in err
 
 
 def test_oracle_factors(capsys):
@@ -340,8 +358,10 @@ def test_pretty_format(capsys):
         (lambda text: text + "not json\n", 4),
         (lambda text: text + '{"lambda":[1,1,1],"char":{"[1,1,1]":1}}\n', 4),  # more than n parts
         (lambda text: text.replace('"[4]":1', '"[4]":"1"'), 3),
+        (lambda text: text.replace('"[4]":1', '"[4]":7'), 3),
+        (lambda text: text.replace('"[4]":1', '"[4]":1,"[2,2]":0'), 3),
     ],
-    ids=["truncated", "not-json", "too-many-parts", "string-coefficient"],
+    ids=["truncated", "not-json", "too-many-parts", "string-coefficient", "top-coefficient", "zero-coefficient"],
 )
 def test_bad_cache_record_exits_2(corrupt, line, tmp_path, capsys):
     argv = ("oracle", "factors", "--p", "2", "--n", "2", "--spec", "S:4", "--cache", str(tmp_path))
