@@ -49,9 +49,14 @@ one vector per semistandard tableau T of shape lam (R. W. Carter and
 G. Lusztig, Math. Z. 136 (1974); Green, LNM 830), where F^(T) is the product
 over rows r of T of E_jr^(t_rj) for the t_rj letters j > r in row r, the
 bottom row acting first.  Reduced mod p, the vectors of content nu span M_nu,
-so only the dominant weights nu are visited: their tableaux are peeled as
-horizontal strips, their vectors row-reduced to an echelon basis, and the
-Gram rank of that basis is the multiplicity of nu.
+so only the dominant weights nu are visited, and of those only the nu that
+lam dominates, since no other nu has a tableau.  The tableaux are peeled as
+horizontal strips, largest letter first, and a strip is followed only when
+its inner shape dominates the rest of the content, so every branch ends in a
+tableau; the peel of each (shape, content) is memoised.  The vectors are
+row-reduced to an echelon basis, and the Gram rank of that basis is the
+multiplicity of nu.  The Gram matrix is summed orbit by orbit over the rows
+that hold each orbit.
 
 Budget.  A table's budget caps what one dominant weight holds: the orbit
 terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
@@ -64,12 +69,13 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Optional
 
 from .characters import SymChar, _horizontal_strip_removals, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError
-from .partitions import Partition, partition, partitions_of, transpose
+from .partitions import Dominance, Partition, dominance_leq, partition, partitions_of, transpose
 
 DEFAULT_BUDGET = 300_000
 
@@ -116,21 +122,22 @@ def highest_weight_vector(lam: Partition, n: int, p: int = 2) -> TensorVector:
     return TensorVector(n, p, cols, {tuple(sorted(blocks.items())): 1})
 
 
-def _splits(moves: list, k: int, p: int):
+@lru_cache(maxsize=None)
+def _splits(moves: tuple, k: int, p: int) -> tuple:
     """Ways to move k blocks, j_t <= m_t of each eligible type, as pairs
     (j, prod_t (+-1)^j_t C(m_t' + j_t, j_t) mod p); vanishing products are
-    skipped."""
+    skipped.  A move is (m_t, m_t', odd_t): only these counts and signs
+    matter, never the blocks, so the splits are memoised on them."""
     if not moves:
-        if k == 0:
-            yield (), 1
-        return
-    (_, m, _, m_to, odd), rest = moves[0], moves[1:]
-    room = sum(move[1] for move in rest)
+        return (((), 1),) if k == 0 else ()
+    (m, m_to, odd), rest = moves[0], moves[1:]
+    room = sum(move[0] for move in rest)
+    out = []
     for j in range(max(0, k - room), min(m, k) + 1):
         c = comb(m_to + j, j) * (-1) ** (odd * j) % p
         if c:
-            for js, d in _splits(rest, k - j, p):
-                yield (j,) + js, c * d % p
+            out.extend(((j,) + js, c * d % p) for js, d in _splits(rest, k - j, p))
+    return tuple(out)
 
 
 def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
@@ -144,20 +151,17 @@ def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
     out: dict = {}
     for orbit, coeff in v.entries.items():
         counts = dict(orbit)
-        moves = [
-            (t, m, t ^ step, counts.get(t ^ step, 0), (t & between).bit_count() & 1)
-            for t, m in orbit
-            if t & step == lo
-        ]
+        eligible = [t for t, _ in orbit if t & step == lo]
+        moves = tuple((counts[t], counts.get(t ^ step, 0), (t & between).bit_count() & 1) for t in eligible)
         for js, c in _splits(moves, k, p):
             new = dict(counts)
-            for (t, m, t_to, m_to, _), jt in zip(moves, js):
+            for t, (m, m_to, _), jt in zip(eligible, moves, js):
                 if jt:
                     if jt == m:
                         del new[t]
                     else:
                         new[t] = m - jt
-                    new[t_to] = m_to + jt
+                    new[t ^ step] = m_to + jt
             key = tuple(sorted(new.items()))
             x = (out.get(key, 0) + coeff * c) % p
             if x:
@@ -170,26 +174,37 @@ def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
 # --- tableau vectors and Gram ranks --------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _peel(shape: Partition, content: tuple) -> tuple:
+    """The divided powers (r, j, t) of F^(T), t letters j > r in row r, for
+    each semistandard tableau T of the given shape and content, unsorted.
+    The largest letter is peeled as a horizontal strip, and a strip is
+    followed only when the rest of the content fits in the inner shape: at
+    most letter-1 rows that dominate it, so every branch ends in a
+    tableau."""
+    letter = len(content)
+    if letter == 0:
+        return ((),)
+    rest = content[:-1]
+    out = []
+    for inner in _horizontal_strip_removals(shape, content[-1]):
+        if len(inner) < letter and dominance_leq(rest, inner) is Dominance.LEQ:
+            moved = tuple(
+                (r + 1, letter, a - b)
+                for r, (a, b) in enumerate(zip(shape, inner + (0,) * len(shape)))
+                if a > b and r + 1 < letter
+            )
+            out.extend(moved + ops for ops in _peel(inner, rest))
+    return tuple(out)
+
+
 def _tableau_operators(lam: Partition, nu: tuple):
     """For each semistandard tableau T of shape lam and content nu, the
     divided powers (r, j, t) of F^(T), t letters j > r in row r, bottom row
     first.  Tableaux are peeled one letter at a time, largest first, as
-    horizontal strips."""
-
-    def peel(shape: Partition, letter: int, ops: list):
-        if letter == 0:
-            yield sorted(ops, reverse=True)
-            return
-        for inner in _horizontal_strip_removals(shape, nu[letter - 1]):
-            if len(inner) < letter:  # letters 1..letter-1 fill at most letter-1 rows
-                moved = [
-                    (r + 1, letter, a - b)
-                    for r, (a, b) in enumerate(zip(shape, inner + (0,) * len(shape)))
-                    if a > b and r + 1 < letter
-                ]
-                yield from peel(inner, letter - 1, ops + moved)
-
-    yield from peel(lam, len(nu), [])
+    horizontal strips (_peel)."""
+    for ops in _peel(lam, nu):
+        yield sorted(ops, reverse=True)
 
 
 def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
@@ -215,22 +230,26 @@ def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
 
 
 def _gram_rank(rows: list, p: int) -> int:
-    """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of orbit rows."""
+    """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of orbit rows.
+
+    The matrix is built from an orbit index: each orbit adds |O| a b to the
+    entries of every pair of rows that hold it, with coefficients a and b."""
     d = len(rows)
     if d == 0:
         return 0
-    weighted = [{orbit: c * orbit_size(orbit) for orbit, c in row.items()} for row in rows]
-    g = []
-    for wa in weighted:
-        line = []
-        for rb in rows:
-            s = 0
-            for orbit, c in wa.items():
-                x = rb.get(orbit)
-                if x:
-                    s += c * x
-            line.append(s % p)
-        g.append(line)
+    index: dict = {}
+    for a, row in enumerate(rows):
+        for orbit, c in row.items():
+            index.setdefault(orbit, []).append((a, c))
+    g = [[0] * d for _ in range(d)]
+    for orbit, holders in index.items():
+        size = orbit_size(orbit) % p
+        if size:
+            for a, x in holders:
+                line, sx = g[a], size * x
+                for b, y in holders:
+                    line[b] += sx * y
+    g = [[x % p for x in line] for line in g]
     # in-place Gaussian elimination mod p
     rank = 0
     for col in range(d):
@@ -262,6 +281,8 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
     coeffs = {}
     max_dim = 0
     for nu in partitions_of(sum(lam), max_len=n):
+        if dominance_leq(nu, lam) is not Dominance.LEQ:
+            continue  # no tableau of shape lam has content nu
         held = 0
         ech: dict = {}
         for ops in _tableau_operators(lam, nu + (0,) * (n - len(nu))):
@@ -295,6 +316,15 @@ def simple_char_defect(lam: Partition, coeffs: dict) -> str | None:
         if c <= 0:
             return f"weight {list(mu)} has multiplicity {c}, not positive"
     return None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook that rejects a key listed twice (json keeps the last)."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        dup = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise SchurkitError(f"key {dup!r} is listed twice")
+    return out
 
 
 class SimpleTable:
@@ -376,9 +406,9 @@ class SimpleTable:
 
         A record that is not JSON, lacks a key, holds a bad partition, a
         coefficient that is not an integer or a bad character, a lambda with
-        more than n parts, a top coefficient other than 1 or a coefficient
-        that is not positive, raises SchurkitError naming the file and the
-        line."""
+        more than n parts, a top coefficient other than 1, a coefficient
+        that is not positive, or a key or a weight listed twice, raises
+        SchurkitError naming the file and the line."""
         count = 0
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -386,11 +416,13 @@ class SimpleTable:
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line, object_pairs_hook=_unique_keys)
                     lam = partition(rec["lambda"])
                     if len(lam) > self.n:
                         raise LengthExceedsN(f"lambda {list(lam)} has more than {self.n} parts")
                     coeffs = {partition(json.loads(k)): v for k, v in rec["char"].items()}
+                    if len(coeffs) != len(rec["char"]):
+                        raise SchurkitError(f"a weight is listed twice: {rec['char']}")
                     if any(type(c) is not int for c in coeffs.values()):
                         raise SchurkitError(f"coefficients must be integers: {rec['char']}")
                     if defect := simple_char_defect(lam, coeffs):

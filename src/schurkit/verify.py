@@ -55,9 +55,12 @@ FAST_TIER = {
         (2, 4, 10),
         (2, 4, 12),
         (2, 5, 8),
+        (3, 4, 10),
+        (5, 3, 14),
     ],
-    "thm-21special": [(2, 3, 10), (3, 3, 10), (5, 2, 10)],
-    "1special": [(p, n, 8) for p in (2, 3, 5) for n in (1, 2, 3, 4)],
+    # the next two families are finite: each config reaches its top degree
+    "thm-21special": [(2, 3, 10), (3, 3, 15), (5, 2, 18)],
+    "1special": [(p, n, max(8, n * (p - 1))) for p in (2, 3, 5) for n in (1, 2, 3, 4)],
     "combinatorial": [(2, 30), (3, 30), (5, 30), (7, 30)],
     "oracle-self": [(2, 2, 10), (3, 3, 9), (5, 2, 8)],
 }

@@ -360,8 +360,19 @@ def test_pretty_format(capsys):
         (lambda text: text.replace('"[4]":1', '"[4]":"1"'), 3),
         (lambda text: text.replace('"[4]":1', '"[4]":7'), 3),
         (lambda text: text.replace('"[4]":1', '"[4]":1,"[2,2]":0'), 3),
+        (lambda text: text.replace('"[3,1]":1}', '"[3,1]":2,"[3,1]":1}'), 2),
+        (lambda text: text.replace('"[3,1]":1}', '"[3,1,0]":2,"[3,1]":1}'), 2),
     ],
-    ids=["truncated", "not-json", "too-many-parts", "string-coefficient", "top-coefficient", "zero-coefficient"],
+    ids=[
+        "truncated",
+        "not-json",
+        "too-many-parts",
+        "string-coefficient",
+        "top-coefficient",
+        "zero-coefficient",
+        "duplicate-key",
+        "duplicate-weight",
+    ],
 )
 def test_bad_cache_record_exits_2(corrupt, line, tmp_path, capsys):
     argv = ("oracle", "factors", "--p", "2", "--n", "2", "--spec", "S:4", "--cache", str(tmp_path))

@@ -98,8 +98,16 @@ def test_suites_are_deterministic():
 def test_fast_tier_configs_present():
     assert {(3, 3, 12), (3, 3, 14), (2, 4, 10)} <= set(FAST_TIER["thm-2good"])
     assert {(3, 3, 18), (2, 4, 12), (2, 5, 8), (7, 3, 20)} <= set(FAST_TIER["thm-2good"])
-    assert (2, 3, 10) in FAST_TIER["thm-21special"]
-    for configs in EXTENDED_TIER.values():
+    assert {(3, 4, 10), (5, 3, 14)} <= set(FAST_TIER["thm-2good"])
+    assert {(2, 3, 10), (3, 3, 15), (5, 2, 18)} <= set(FAST_TIER["thm-21special"])
+    assert {(5, 3, 12), (5, 4, 16)} <= set(FAST_TIER["1special"])
+    # S̄^r E vanishes above r = n(p-1) and Λ^c E above c = n, so each
+    # finite family is checked whole at its top degree
+    for p, n, rmax in FAST_TIER["1special"]:
+        assert rmax >= n * (p - 1), (p, n, rmax)
+    for p, n, rmax in FAST_TIER["thm-21special"]:
+        assert rmax >= 2 * n * (p - 1) + n, (p, n, rmax)
+    for configs in list(FAST_TIER.values()) + list(EXTENDED_TIER.values()):
         assert len(configs) == len(set(configs))  # no config is run twice
 
 
