@@ -24,7 +24,7 @@ from .classify import (
     standard_parses,
     two_one_special_witness,
 )
-from .oracle import SimpleTable, composition_factors, decompose_simples, enumerate_factors, simple_char
+from .oracle import SimpleTable, composition_factors, decompose_simples, enumerate_factors
 from .partitions import (
     NodeInfo,
     PAdicDigits,

@@ -94,15 +94,20 @@ def is_2special(lam: Partition, p: int) -> bool:
     return _is_beginning_shape(lam0, p) and lbar == omega(len(lbar)) and len(lbar) >= 1
 
 
+def _omega_candidates(lam):
+    """Each (mu, s) with lam = mu + omega_s, s = 0 first."""
+    yield lam, 0
+    for r in range(1, len(lam) + 1):
+        mu = subtract(lam, omega(r))
+        if mu is not None:
+            yield mu, r
+
+
 def two_one_special_witness(lam: Partition, p: int) -> Optional[tuple[Partition, int]]:
     """A pair (mu, s) with lam = mu + omega_s and mu 2-special, if one exists."""
     if lam and lam[0] > 2 * p - 1:
         return None
-    for s in range(len(lam) + 1):
-        mu = subtract(lam, omega(s))
-        if mu is not None and is_2special(mu, p):
-            return mu, s
-    return None
+    return next(((mu, s) for mu, s in _omega_candidates(lam) if is_2special(mu, p)), None)
 
 
 def is_21special(lam: Partition, p: int) -> bool:
@@ -124,14 +129,6 @@ def _is_pminus1_run(lam, p, min_k):
     # (p-1)^k a with k >= min_k and 0 <= a < p-1
     k, rest = _strip_value(lam, p - 1)
     return k >= min_k and len(rest) <= 1 and all(x < p - 1 for x in rest)
-
-
-def _omega_candidates(lam):
-    yield lam, 0
-    for r in range(1, len(lam) + 1):
-        mu = subtract(lam, omega(r))
-        if mu is not None:
-            yield mu, r
 
 
 def is_21good_piecewise(lam: Partition, p: int) -> bool:
@@ -211,22 +208,14 @@ def is_middle_term(lam: Partition, p: int) -> bool:
     """Not a beginning term, but beginning after removing a column."""
     if _is_beginning_shape(lam, p):
         return False
-    for r in range(1, len(lam) + 1):
-        mu = subtract(lam, omega(r))
-        if mu is not None and _is_beginning_shape(mu, p):
-            return True
-    return False
+    return any(r >= 1 and _is_beginning_shape(mu, p) for mu, r in _omega_candidates(lam))
 
 
 def is_end_term(lam: Partition, p: int) -> bool:
     """Restricted, not 2-special, and 2-special after removing a column."""
     if not is_restricted(lam, p) or is_2special(lam, p):
         return False
-    for r in range(1, len(lam) + 1):
-        mu = subtract(lam, omega(r))
-        if mu is not None and is_2special(mu, p):
-            return True
-    return False
+    return any(r >= 1 and is_2special(mu, p) for mu, r in _omega_candidates(lam))
 
 
 def classify_term(lam: Partition, p: int) -> frozenset:

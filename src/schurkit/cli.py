@@ -16,7 +16,7 @@ import sys
 from . import classify as cls
 from .characters import char_from_expr, decompose_schur
 from .errors import ResourceBudgetExceeded, SchurkitError
-from .oracle import DEFAULT_BUDGET, FAMILIES, SimpleTable, composition_factors, enumerate_factors, factor_dimensions_check, product_char
+from .oracle import DEFAULT_BUDGET, FAMILIES, SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check, product_char
 from .partitions import PRIME_LIMIT, is_bounded, is_prime, is_restricted, partition
 from .verify import SUITES, run_tier
 
@@ -409,25 +409,19 @@ def _dispatch(args) -> int:
             if kind not in ("S", "Sbar", "Wedge") or not r.isdigit():
                 raise SchurkitError(f"bad factor spec {item!r}; expected Kind:degree")
             spec.append((kind, int(r)))
-        table = SimpleTable(args.p, args.n, args.budget, cache_dir)
-        try:
-            factors = composition_factors(spec, args.p, args.n, table)
-            chi = product_char(spec, args.p, args.n)
+        with SimpleTable(args.p, args.n, args.budget, cache_dir) as table:  # persists also after a budget trip
+            chi = product_char(spec, table.p, table.n)
+            factors = decompose_simples(chi, table)
             doc = {
                 "factors": {_pkey(lam): m for lam, m in sorted(factors.items(), reverse=True)},
                 "dimCheck": factor_dimensions_check(factors, chi, table),
             }
-        finally:
-            table.persist()  # keeps what was computed before a budget trip
         _emit(doc, args)
         return 0
 
     if args.command == "enumerate":
-        table = SimpleTable(args.p, args.n, args.budget, cache_dir)
-        try:
-            labels = enumerate_factors(args.family, args.degree, args.p, args.n, table)
-        finally:
-            table.persist()
+        with SimpleTable(args.p, args.n, args.budget, cache_dir) as table:
+            labels = enumerate_factors(args.family, args.degree, table)
         doc = {
             "family": args.family,
             "p": args.p,
@@ -441,6 +435,9 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         reports = []
         if args.tier:
+            ignored = [f"--{flag}" for flag in ("suite", "p", "n", "rmax") if getattr(args, flag) is not None]
+            if ignored:
+                raise SchurkitError(f"--tier runs a fixed grid and takes no {', '.join(ignored)}")
             reports = run_tier(args.tier, args.budget, cache_dir)
         elif args.suite == "combinatorial":
             if args.p is None:
@@ -449,11 +446,8 @@ def _dispatch(args) -> int:
         elif args.suite:
             if args.p is None or args.n is None or args.rmax is None:
                 raise SchurkitError(f"suite {args.suite} needs --p, --n and --rmax")
-            table = SimpleTable(args.p, args.n, args.budget, cache_dir)
-            try:
+            with SimpleTable(args.p, args.n, args.budget, cache_dir) as table:
                 reports = [SUITES[args.suite](args.p, args.n, args.rmax, table)]
-            finally:
-                table.persist()
         else:
             raise SchurkitError("verify needs --suite or --tier")
         doc = (

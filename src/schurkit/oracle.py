@@ -74,7 +74,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Optional
 
 from .characters import SymChar, _horizontal_strip_removals, power_char
-from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError
+from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError, VariableCountMismatch
 from .partitions import Dominance, Partition, dominance_leq, partition, partitions_of, transpose
 
 DEFAULT_BUDGET = 300_000
@@ -113,7 +113,7 @@ def orbit_size(orbit: tuple) -> int:
     return prod(map(factorial, heights.values())) // size
 
 
-def highest_weight_vector(lam: Partition, n: int, p: int = 2) -> TensorVector:
+def highest_weight_vector(lam: Partition, n: int, p: int) -> TensorVector:
     """Product over columns of the wedge of the first column-height letters."""
     if len(lam) > n:
         raise LengthExceedsN(f"{lam} needs more than {n} letters")
@@ -328,10 +328,14 @@ def _unique_keys(pairs: list) -> dict:
 
 
 class SimpleTable:
-    """Cache of simple characters for one (p, n).
+    """Cache of simple characters for one (p, n), the only place the oracle
+    functions read p and n from.
 
     With cache_dir, the table starts from the file simple_p{p}_n{n}.jsonl in
     that directory when it exists, and persist() writes the table back there.
+    Used as a context manager, the table persists when the block ends, also
+    after an exception such as a budget trip, and the module memos of the
+    tableau peel and the block splits are cleared.
     """
 
     def __init__(self, p: int, n: int, budget: int = DEFAULT_BUDGET, cache_dir: str | os.PathLike | None = None):
@@ -358,6 +362,14 @@ class SimpleTable:
         self.cache[lam] = chi
         self.max_weight_dim = max(self.max_weight_dim, dim)
         return chi
+
+    def __enter__(self) -> SimpleTable:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _peel.cache_clear()
+        _splits.cache_clear()
+        self.persist()
 
     def stats(self) -> dict:
         return {
@@ -435,20 +447,15 @@ class SimpleTable:
         return count
 
 
-def simple_char(lam: Partition, p: int, n: int, table: SimpleTable | None = None) -> SymChar:
-    """Character of the irreducible polynomial module with highest weight lam."""
-    if table is None:
-        table = SimpleTable(p, n)
-    return table.char(tuple(lam))
-
-
-def decompose_simples(chi: SymChar, p: int, table: SimpleTable) -> dict:
-    """Greedy expansion of a module character in the simple basis.
+def decompose_simples(chi: SymChar, table: SimpleTable) -> dict:
+    """Greedy expansion of a module character in the simple basis of table.
 
     Repeatedly strips the lexicographically greatest supported weight; a
     negative residual coefficient means the input was not the character of a
     module (or the oracle is broken) and aborts loudly.
     """
+    if chi.n != table.n:
+        raise VariableCountMismatch(f"character in {chi.n} variables, table for n={table.n}")
     residual = dict(chi.coeffs)
     out: dict[Partition, int] = {}
     while residual:
@@ -491,11 +498,9 @@ def product_char(spec: Iterable[tuple], p: int, n: int) -> SymChar:
     return chi
 
 
-def composition_factors(spec: Iterable[tuple], p: int, n: int, table: SimpleTable | None = None) -> dict:
+def composition_factors(spec: Iterable[tuple], table: SimpleTable) -> dict:
     """Composition factors, with multiplicities, of a product of powers."""
-    if table is None:
-        table = SimpleTable(p, n)
-    return decompose_simples(product_char(spec, p, n), p, table)
+    return decompose_simples(product_char(spec, table.p, table.n), table)
 
 
 def _degree_splits(family: str, r: int, n: int):
@@ -517,17 +522,9 @@ def _degree_splits(family: str, r: int, n: int):
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-def enumerate_factors(
-    family: str,
-    r: int,
-    p: int,
-    n: int,
-    table: SimpleTable | None = None,
-) -> set:
+def enumerate_factors(family: str, r: int, table: SimpleTable) -> set:
     """Union of composition-factor sets over all degree splits of a family."""
-    if table is None:
-        table = SimpleTable(p, n)
     out: set = set()
-    for split in _degree_splits(family, r, n):
-        out.update(composition_factors(split, p, n, table))
+    for split in _degree_splits(family, r, table.n):
+        out.update(composition_factors(split, table))
     return out

@@ -108,14 +108,20 @@ def _stats_since(table: SimpleTable, before: dict) -> dict:
     return stats
 
 
-def _set_equality_suite(name, predicate, family, p, n, rmax, table):
+def _checked(table: SimpleTable, p: int, n: int) -> SimpleTable:
+    """table, once it is known to be the table of (p, n)."""
+    if (table.p, table.n) != (p, n):
+        raise ValueError(f"the table is for p={table.p}, n={table.n}, not p={p}, n={n}")
+    return table
+
+
+def _set_equality_suite(name, predicate, family, rmax, table):
     start = time.time()
-    if table is None:
-        table = SimpleTable(p, n)
+    p, n = table.p, table.n
     before = table.stats()
     discrepancies = []
     for r in range(rmax + 1):
-        oracle_set = enumerate_factors(family, r, p, n, table)
+        oracle_set = enumerate_factors(family, r, table)
         predicted = {lam for lam in partitions_of(r, max_len=n) if predicate(lam, p)}
         for lam in sorted(oracle_set | predicted, reverse=True):
             if (lam in predicted) != (lam in oracle_set):
@@ -137,19 +143,19 @@ def _set_equality_suite(name, predicate, family, p, n, rmax, table):
     )
 
 
-def suite_thm_2good(p: int, n: int, rmax: int, table: SimpleTable | None = None) -> SuiteReport:
+def suite_thm_2good(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteReport:
     """Factors of the twofold symmetric power are exactly the standard partitions."""
-    return _set_equality_suite("thm-2good", is_2good, "SS", p, n, rmax, table)
+    return _set_equality_suite("thm-2good", is_2good, "SS", rmax, _checked(table, p, n))
 
 
-def suite_thm_21special(p: int, n: int, rmax: int, table: SimpleTable | None = None) -> SuiteReport:
+def suite_thm_21special(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteReport:
     """Factors of truncated x truncated x exterior are the mu + omega_s partitions."""
-    return _set_equality_suite("thm-21special", is_21special, "SbarSbarWedge", p, n, rmax, table)
+    return _set_equality_suite("thm-21special", is_21special, "SbarSbarWedge", rmax, _checked(table, p, n))
 
 
-def suite_1special(p: int, n: int, rmax: int, table: SimpleTable | None = None) -> SuiteReport:
+def suite_1special(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteReport:
     """Factors of the truncated symmetric power are the (p-1)^k a partitions."""
-    return _set_equality_suite("1special", is_1special, "Sbar", p, n, rmax, table)
+    return _set_equality_suite("1special", is_1special, "Sbar", rmax, _checked(table, p, n))
 
 
 # --- combinatorial invariants ---------------------------------------------------
@@ -387,13 +393,14 @@ def suite_combinatorial(p: int, bound: int) -> SuiteReport:
 # --- oracle self-audits ----------------------------------------------------------
 
 
-def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
+def oracle_self_checks(rmax: int, table: SimpleTable) -> list:
     """Gram sanity, Steinberg, semisimple range, block gate, dimension audit,
-    stability in n, and restricted good = special."""
+    stability in n, and restricted good = special, at the table's (p, n)."""
     from .characters import frobenius_twist, kostka, schur_char
     from .oracle import decompose_simples, factor_dimensions_check, product_char, simple_char_defect
     from .partitions import Dominance, dominance_leq, restricted_split
 
+    p, n = table.p, table.n
     subs = []
 
     start = time.time()
@@ -429,7 +436,7 @@ def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
     bad = []
     for mu in partitions_up_to(min(rmax, 10), max_len=n):
         chi = schur_char(mu, n)
-        factors = decompose_simples(chi, p, table)
+        factors = decompose_simples(chi, table)
         for lam in factors:
             if p_core(lam, p) != p_core(mu, p):
                 bad.append({"partition": list(mu), "factor": list(lam)})
@@ -446,7 +453,7 @@ def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
                 (("Sbar", a), ("Sbar", r - a)),
             ):
                 chi = product_char(spec, p, n)
-                if not factor_dimensions_check(decompose_simples(chi, p, table), chi, table):
+                if not factor_dimensions_check(decompose_simples(chi, table), chi, table):
                     bad.append({"spec": [list(t) for t in spec]})
     subs.append(_sub("oracle-self/dimension-audit", {"p": p, "n": n, "bound": min(rmax, 8)}, bad, start))
 
@@ -456,8 +463,8 @@ def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
         bigger = SimpleTable(p, n + 1, budget=table.budget)
         for family in ("SS", "Sbar"):
             for r in range(min(rmax, 8) + 1):
-                small = enumerate_factors(family, r, p, n, table)
-                big = enumerate_factors(family, r, p, n + 1, bigger)
+                small = enumerate_factors(family, r, table)
+                big = enumerate_factors(family, r, bigger)
                 if small != {lam for lam in big if len(lam) <= n}:
                     bad.append({"family": family, "degree": r})
     subs.append(_sub("oracle-self/stability", {"p": p, "n": n, "bound": min(rmax, 8)}, bad, start))
@@ -465,8 +472,8 @@ def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
     start = time.time()
     bad = []
     for r in range(min(rmax, 8) + 1):
-        good = enumerate_factors("SS", r, p, n, table)
-        special = enumerate_factors("SbarSbar", r, p, n, table)
+        good = enumerate_factors("SS", r, table)
+        special = enumerate_factors("SbarSbar", r, table)
         if {l for l in good if is_restricted(l, p)} != {l for l in special if is_restricted(l, p)}:
             bad.append({"degree": r})
     subs.append(_sub("oracle-self/restricted-good-special", {"p": p, "n": n, "bound": min(rmax, 8)}, bad, start))
@@ -474,13 +481,11 @@ def oracle_self_checks(p: int, n: int, rmax: int, table: SimpleTable) -> list:
     return subs
 
 
-def suite_oracle_self(p: int, n: int, rmax: int, table: SimpleTable | None = None) -> SuiteReport:
+def suite_oracle_self(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteReport:
     """Internal consistency of the brute-force oracle."""
     start = time.time()
-    if table is None:
-        table = SimpleTable(p, n)
-    before = table.stats()
-    subs = oracle_self_checks(p, n, rmax, table)
+    before = _checked(table, p, n).stats()
+    subs = oracle_self_checks(rmax, table)
     discrepancies = [d for rep in subs for d in rep.discrepancies]
     return SuiteReport(
         suite="oracle-self",
@@ -505,8 +510,9 @@ SUITES = {
 def run_tier(tier: str, budget: int = DEFAULT_BUDGET, cache_dir: str | None = None) -> list:
     """Run the whole battery for a tier; returns the list of reports.
 
-    Each (p, n) gets one table, shared by the suites that use it and
-    persisted after each of them when cache_dir is given."""
+    Each (p, n) gets one table, shared by the suites that use it; a suite
+    runs in the table's with block, so the table is persisted after each
+    suite when cache_dir is given."""
     grid = FAST_TIER if tier == "fast" else EXTENDED_TIER
     reports = []
     tables: dict = {}
@@ -519,8 +525,6 @@ def run_tier(tier: str, budget: int = DEFAULT_BUDGET, cache_dir: str | None = No
                 p, n, rmax = cfg
                 if (p, n) not in tables:
                     tables[p, n] = SimpleTable(p, n, budget, cache_dir)
-                try:
-                    reports.append(SUITES[name](p, n, rmax, tables[p, n]))
-                finally:
-                    tables[p, n].persist()  # also after a budget trip
+                with tables[p, n] as table:
+                    reports.append(SUITES[name](p, n, rmax, table))
     return reports

@@ -57,7 +57,7 @@ def test_criterion1_thm_2good_equivalence(tables):
         if not rep.verdict:
             failures.append((p, n, rmax, rep.discrepancies[:3]))
     # mandatory index-1 primitive witness at p=2, n=3, degree 12
-    witness_ok = (6, 4, 2) in enumerate_factors("SS", 12, 2, 3, _table(tables, 2, 3)) and (
+    witness_ok = (6, 4, 2) in enumerate_factors("SS", 12, _table(tables, 2, 3)) and (
         primitive_index((6, 4, 2), 2) == 1
     )
     ok = not failures and witness_ok
@@ -72,7 +72,7 @@ def test_criterion2_thm_21special_equivalence(tables):
         rep = suite_thm_21special(p, n, rmax, _table(tables, p, n))
         if not rep.verdict:
             failures.append((p, n, rmax, rep.discrepancies[:3]))
-    in_oracle = (2, 2, 2) in enumerate_factors("SbarSbarWedge", 6, 3, 3, _table(tables, 3, 3))
+    in_oracle = (2, 2, 2) in enumerate_factors("SbarSbarWedge", 6, _table(tables, 3, 3))
     ok = not failures and in_oracle and is_21special((2, 2, 2), 3)
     _line(2, ok, f"thm-21special equivalence on {CRIT2_CONFIGS}; (2,2,2) in factors and (2,1)-special")
     assert not failures, failures
@@ -89,7 +89,7 @@ def test_criterion2_witness_222_not_2good_as_stated(tables):
     truncated-power character, the oracle's degree-6 factor and is_2good.
     """
     truncated = power_char(TRUNCATED, 6, 3, p=3).coeffs
-    in_ss = (2, 2, 2) in enumerate_factors("SS", 6, 3, 3, _table(tables, 3, 3))
+    in_ss = (2, 2, 2) in enumerate_factors("SS", 6, _table(tables, 3, 3))
     good = is_2good((2, 2, 2), 3)
     ok = truncated == {(2, 2, 2): 1} and in_ss is True and good is True
     _line(
@@ -183,7 +183,7 @@ def test_criterion7_oracle_self_audits(tables):
         table = _table(tables, p, 3)
         for mu in partitions_up_to(10, max_len=3):
             chi = schur_char(mu, 3)
-            factors = decompose_simples(chi, p, table)
+            factors = decompose_simples(chi, table)
             if not factor_dimensions_check(factors, chi, table):
                 bad.append(("dimension", p, mu))
             for lam in factors:
@@ -217,9 +217,9 @@ def test_criterion9_remark38_anchors(tables):
     # neither (2,2,2) nor (1,1,1) is a degree-matched factor, the zero
     # partition is
     t5 = _table(tables, 5, 3)
-    checks["oracle: (2,2,2) not critical at p=5"] = (2, 2, 2) not in enumerate_factors("SS", 6, 5, 3, t5)
-    checks["oracle: (1,1,1) not critical at p=5"] = (1, 1, 1) not in enumerate_factors("SS", 3, 5, 3, t5)
-    checks["oracle: 0 critical"] = () in enumerate_factors("SS", 0, 5, 3, t5)
+    checks["oracle: (2,2,2) not critical at p=5"] = (2, 2, 2) not in enumerate_factors("SS", 6, t5)
+    checks["oracle: (1,1,1) not critical at p=5"] = (1, 1, 1) not in enumerate_factors("SS", 3, t5)
+    checks["oracle: 0 critical"] = () in enumerate_factors("SS", 0, t5)
     ok = all(checks.values())
     _line(9, ok, "divisibility/injectivity anchors with oracle confirmation")
     assert ok, {k: v for k, v in checks.items() if not v}
@@ -234,7 +234,7 @@ def test_criterion9_divind_222_p3_as_stated(tables):
     L(2,2,2)), so it is critical and j = 0 already qualifies.  The test
     asserts the oracle's criticality call and the index 0.
     """
-    critical_per_oracle = (2, 2, 2) in enumerate_factors("SS", 6, 3, 3, _table(tables, 3, 3))
+    critical_per_oracle = (2, 2, 2) in enumerate_factors("SS", 6, _table(tables, 3, 3))
     got = divisibility_index_n3((2, 2, 2), 3)
     ok = critical_per_oracle is True and got == 0
     _line(
@@ -250,6 +250,6 @@ def test_criterion9_divind_222_p3_as_stated(tables):
 def test_extended_tier_743_witness(tables):
     table = _table(tables, 3, 3)
     rep = suite_thm_2good(3, 3, 14, table)
-    witness = (7, 4, 3) in enumerate_factors("SS", 14, 3, 3, table)
+    witness = (7, 4, 3) in enumerate_factors("SS", 14, table)
     _line("1-extended", rep.verdict and witness, "(7,4,3) appears at degree 14, p=3, n=3")
     assert rep.verdict and witness and primitive_index((7, 4, 3), 3) == 1

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schurkit import verify
+from schurkit import cli, oracle, verify
 from schurkit.cli import COMMANDS, PRIME_LIMIT, build_parser, main
 from schurkit.oracle import SimpleTable
 
@@ -217,6 +217,31 @@ def test_verify_tier_writes_one_cache_file_per_table(tmp_path, capsys, monkeypat
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["simple_p2_n2.jsonl", "simple_p3_n1.jsonl", "simple_p3_n2.jsonl"]
+
+
+def test_verify_tier_rejects_the_flags_it_would_ignore(capsys, monkeypatch):
+    # a tier runs its own grid of suites, primes, variable counts and degrees
+    monkeypatch.setattr(verify, "FAST_TIER", {"combinatorial": [(2, 4)]})
+    code, out, err = run_cli(capsys, "verify", "--tier", "fast", "--suite", "thm-2good")
+    assert code == 2 and out == "" and "--suite" in err
+    code, out, err = run_cli(capsys, "verify", "--tier", "fast", "--p", "3", "--n", "3", "--rmax", "4")
+    assert code == 2 and out == "" and "takes no --p, --n, --rmax" in err
+    assert run_cli(capsys, "verify", "--tier", "fast")[0] == 0
+
+
+def test_oracle_factors_builds_the_product_once(capsys, monkeypatch):
+    calls = []
+    real = oracle.product_char
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "product_char", counted)
+    monkeypatch.setattr(cli, "product_char", counted)
+    code, out, _ = run_cli(capsys, "oracle", "factors", "--p", "3", "--n", "3", "--spec", "S:4,S:3")
+    assert code == 0 and json.loads(out)["dimCheck"] is True
+    assert len(calls) == 1
 
 
 def test_threads_flag_is_gone(capsys):

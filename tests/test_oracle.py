@@ -16,7 +16,7 @@ from schurkit.characters import (
     power_char,
     schur_char,
 )
-from schurkit.errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded
+from schurkit.errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, VariableCountMismatch
 from schurkit.characters import SymChar
 from schurkit.oracle import (
     SimpleTable,
@@ -35,7 +35,6 @@ from schurkit.oracle import (
     highest_weight_vector,
     orbit_size,
     product_char,
-    simple_char,
 )
 from schurkit.partitions import (
     Dominance,
@@ -183,21 +182,21 @@ def _closure_char(lam, p, n):
 
 
 def test_highest_weight_vector_single_row():
-    v = highest_weight_vector((2,), 2)
+    v = highest_weight_vector((2,), 2, 2)
     assert v.entries == {_orbit((1,), (1,)): 1}
     assert _words(v) == {(1, 1): 1}
 
 
 def test_highest_weight_vector_column_blocks():
     # one column of height 2 is a single wedge basis element of norm one
-    v = highest_weight_vector((1, 1), 2)
+    v = highest_weight_vector((1, 1), 2, 2)
     assert v.entries == {_orbit((1, 2)): 1}
     # columns (2),(1): blocks [1,2] and [1]
-    v = highest_weight_vector((2, 1), 2)
+    v = highest_weight_vector((2, 1), 2, 2)
     assert v.entries == {_orbit((1, 2), (1,)): 1}
     assert _words(v) == {(1, 2, 1): 1}
     with pytest.raises(LengthExceedsN):
-        highest_weight_vector((1, 1, 1), 2)
+        highest_weight_vector((1, 1, 1), 2, 2)
 
 
 def test_apply_lowering_examples():
@@ -243,21 +242,21 @@ def test_apply_lowering_matches_word_reference():
 def test_simple_char_one_variable():
     for p in (2, 5):
         for r in range(5):
-            assert simple_char((r,) if r else (), p, 1).coeffs == {((r,) if r else ()): 1}
+            assert SimpleTable(p, 1).char((r,) if r else ()).coeffs == {((r,) if r else ()): 1}
 
 
 def test_simple_char_hand_example_p2():
     # the Gram value at weight (1,1) is <(1,2)+(2,1), same> = 2 = 0 mod 2
-    chi = simple_char((2,), 2, 2)
+    chi = SimpleTable(2, 2).char((2,))
     assert chi.coeffs == {(2,): 1}
-    chi5 = simple_char((2,), 5, 2)
+    chi5 = SimpleTable(5, 2).char((2,))
     assert chi5.coeffs == {(2,): 1, (1, 1): 1}
 
 
 def test_simple_char_exterior_powers():
     for p in (2, 3):
         for k in range(1, 4):
-            chi = simple_char((1,) * k, p, 4)
+            chi = SimpleTable(p, 4).char((1,) * k)
             assert chi.coeffs == {(1,) * k: 1}
 
 
@@ -265,12 +264,12 @@ def test_simple_char_semisimple_range():
     for p in (3, 5):
         for n in (2, 3):
             for lam in partitions_up_to(p - 1, max_len=n):
-                assert simple_char(lam, p, n) == schur_char(lam, n), lam
+                assert SimpleTable(p, n).char(lam) == schur_char(lam, n), lam
 
 
 def test_simple_char_known_p3():
-    assert simple_char((2, 1), 3, 3).coeffs == {(2, 1): 1, (1, 1, 1): 1}
-    assert simple_char((2, 2, 2), 3, 3).coeffs == {(2, 2, 2): 1}
+    assert SimpleTable(3, 3).char((2, 1)).coeffs == {(2, 1): 1, (1, 1, 1): 1}
+    assert SimpleTable(3, 3).char((2, 2, 2)).coeffs == {(2, 2, 2): 1}
 
 
 def test_tableau_vectors_match_closure():
@@ -387,23 +386,23 @@ def test_steinberg_factorization():
 
 def test_decompose_simples_examples():
     tab = SimpleTable(2, 2)
-    assert decompose_simples(schur_char((2,), 2), 2, tab) == {(2,): 1, (1, 1): 1}
+    assert decompose_simples(schur_char((2,), 2), tab) == {(2,): 1, (1, 1): 1}
     for p in (2, 3):
         tab = SimpleTable(p, 3)
         for r in range(1, 4):
-            assert decompose_simples(power_char("exterior", r, 3), p, tab) == {(1,) * r: 1}
+            assert decompose_simples(power_char("exterior", r, 3), tab) == {(1,) * r: 1}
     # below the prime the simple basis is the Schur basis
     tab5 = SimpleTable(5, 3)
     for lam in partitions_up_to(4, max_len=3):
         chi = schur_char(lam, 3) * power_char("complete", 0, 3)
-        assert decompose_simples(chi, 5, tab5) == decompose_schur(chi)
+        assert decompose_simples(chi, tab5) == decompose_schur(chi)
 
 
 def test_decompose_simples_rejects_non_character():
     tab = SimpleTable(2, 2)
     virtual = SymChar(2, 2, {(2,): 1, (1, 1): -1})
     with pytest.raises(NegativeResidual):
-        decompose_simples(virtual, 2, tab)
+        decompose_simples(virtual, tab)
 
 
 def test_block_gate():
@@ -411,15 +410,15 @@ def test_block_gate():
     for p in (2, 3):
         tab = SimpleTable(p, 3)
         for mu in partitions_up_to(8, max_len=3):
-            for lam in decompose_simples(schur_char(mu, 3), p, tab):
+            for lam in decompose_simples(schur_char(mu, 3), tab):
                 assert p_core(lam, p) == p_core(mu, p), (mu, lam)
 
 
 def test_composition_factors_examples():
-    assert composition_factors([("S", 3)], 2, 3) == {(3,): 1, (1, 1, 1): 1}
-    assert composition_factors([("S", 2), ("S", 1)], 2, 2) == {(3,): 1, (2, 1): 1}
+    assert composition_factors([("S", 3)], SimpleTable(2, 3)) == {(3,): 1, (1, 1, 1): 1}
+    assert composition_factors([("S", 2), ("S", 1)], SimpleTable(2, 2)) == {(3,): 1, (2, 1): 1}
     for p in (2, 5):
-        assert composition_factors([("Wedge", 3)], p, 4) == {(1, 1, 1): 1}
+        assert composition_factors([("Wedge", 3)], SimpleTable(p, 4)) == {(1, 1, 1): 1}
 
 
 def test_dimension_audit():
@@ -427,17 +426,28 @@ def test_dimension_audit():
         tab = SimpleTable(p, 3)
         for spec in ([("S", 4), ("S", 2)], [("Sbar", 3), ("Sbar", 2), ("Wedge", 1)]):
             chi = product_char(spec, p, 3)
-            factors = decompose_simples(chi, p, tab)
+            factors = decompose_simples(chi, tab)
             assert factor_dimensions_check(factors, chi, tab)
 
 
 def test_enumerate_factors_examples():
-    assert enumerate_factors("SS", 3, 2, 3) == {(3,), (2, 1), (1, 1, 1)}
-    assert enumerate_factors("Sbar", 2, 3, 2) == {(2,)}
+    assert enumerate_factors("SS", 3, SimpleTable(2, 3)) == {(3,), (2, 1), (1, 1, 1)}
+    assert enumerate_factors("Sbar", 2, SimpleTable(3, 2)) == {(2,)}
     for p in (2, 3, 7):
-        assert enumerate_factors("SbarSbarWedge", 1, p, 2) == {(1,)}
+        assert enumerate_factors("SbarSbarWedge", 1, SimpleTable(p, 2)) == {(1,)}
     with pytest.raises(ValueError):
-        enumerate_factors("SSS", 2, 2, 2)
+        enumerate_factors("SSS", 2, SimpleTable(2, 2))
+
+
+def test_the_table_fixes_p_and_n():
+    # at p=5, (2,2,2) is no factor of the twofold symmetric power in degree
+    # 6 (it is at p=3), and S^2 of two variables is simple (not at p=2)
+    assert (2, 2, 2) not in enumerate_factors("SS", 6, SimpleTable(5, 3))
+    assert (2, 2, 2) in enumerate_factors("SS", 6, SimpleTable(3, 3))
+    assert decompose_simples(schur_char((2,), 2), SimpleTable(5, 2)) == {(2,): 1}
+    assert composition_factors([("S", 2)], SimpleTable(5, 2)) == {(2,): 1}
+    with pytest.raises(VariableCountMismatch):
+        decompose_simples(schur_char((2,), 2), SimpleTable(2, 3))
 
 
 def test_stability_in_n():
@@ -447,8 +457,8 @@ def test_stability_in_n():
             tab_n1 = SimpleTable(p, n + 1)
             for family in ("SS", "Sbar"):
                 for r in range(7):
-                    small = enumerate_factors(family, r, p, n, tab_n)
-                    big = enumerate_factors(family, r, p, n + 1, tab_n1)
+                    small = enumerate_factors(family, r, tab_n)
+                    big = enumerate_factors(family, r, tab_n1)
                     assert small == {lam for lam in big if len(lam) <= n}, (family, r, p, n)
 
 
@@ -456,8 +466,8 @@ def test_restricted_good_equals_special():
     for p in (2, 3):
         tab = SimpleTable(p, 3)
         for r in range(8):
-            good = enumerate_factors("SS", r, p, 3, tab)
-            special = enumerate_factors("SbarSbar", r, p, 3, tab)
+            good = enumerate_factors("SS", r, tab)
+            special = enumerate_factors("SbarSbar", r, tab)
             assert {l for l in good if is_restricted(l, p)} == {
                 l for l in special if is_restricted(l, p)
             }, (p, r)
@@ -513,6 +523,16 @@ def test_table_from_cache_dir_persists_only_changes(tmp_path, monkeypatch):
     again.char((4,))
     again.persist()
     assert saves == [again.path]
+
+
+def test_table_block_persists_after_a_budget_trip_and_clears_the_memos(tmp_path):
+    with pytest.raises(ResourceBudgetExceeded):
+        with SimpleTable(2, 3, budget=10, cache_dir=tmp_path) as tab:
+            tab.char((2, 1))  # needs 8
+            tab.char((4, 2))  # needs 18
+    assert _peel.cache_info().currsize == 0 and _splits.cache_info().currsize == 0
+    assert list(tab.cache) == [(2, 1)]
+    assert SimpleTable(2, 3, cache_dir=tmp_path).cache == tab.cache
 
 
 def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch):

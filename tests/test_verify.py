@@ -1,10 +1,14 @@
 import json
 
-from schurkit.oracle import DEFAULT_BUDGET, SimpleTable
+import pytest
+
+from schurkit import verify
+from schurkit.oracle import DEFAULT_BUDGET, SimpleTable, _peel, _splits
 from schurkit.verify import (
     EXTENDED_TIER,
     FAST_TIER,
     _set_equality_suite,
+    run_tier,
     suite_1special,
     suite_combinatorial,
     suite_oracle_self,
@@ -20,15 +24,15 @@ def test_suite_reports_pass_at_small_size():
     assert rep.params == {"p": 2, "n": 2, "rmax": 8, "family": "SS"}
     assert rep.oracle_stats["cachedCharacters"] > 0
 
-    rep = suite_thm_21special(3, 2, 6)
+    rep = suite_thm_21special(3, 2, 6, SimpleTable(3, 2))
     assert rep.verdict
 
-    rep = suite_1special(5, 2, 6)
+    rep = suite_1special(5, 2, 6, SimpleTable(5, 2))
     assert rep.verdict
 
 
 def test_suite_report_serialization_shape():
-    rep = suite_thm_2good(2, 2, 4)
+    rep = suite_thm_2good(2, 2, 4, SimpleTable(2, 2))
     doc = rep.to_dict()
     assert doc["verdict"] == "pass"
     assert doc["suite"] == "thm-2good"
@@ -39,7 +43,7 @@ def test_suite_report_serialization_shape():
 
 def test_failing_suite_names_counterexample():
     # a deliberately wrong predicate must surface concrete partitions
-    rep = _set_equality_suite("broken", lambda lam, p: False, "Sbar", 2, 2, 3, None)
+    rep = _set_equality_suite("broken", lambda lam, p: False, "Sbar", 3, SimpleTable(2, 2))
     assert not rep.verdict
     assert rep.discrepancies
     assert all("partition" in d for d in rep.discrepancies)
@@ -63,7 +67,7 @@ def test_combinatorial_p2_skips_piecewise():
 
 
 def test_oracle_self_suite():
-    rep = suite_oracle_self(3, 2, 6)
+    rep = suite_oracle_self(3, 2, 6, SimpleTable(3, 2))
     assert rep.verdict
     names = {s.suite for s in rep.sub_reports}
     assert {
@@ -77,6 +81,20 @@ def test_oracle_self_suite():
     } <= names
 
 
+def test_suites_reject_a_table_of_another_p_n():
+    for suite in (suite_thm_2good, suite_thm_21special, suite_1special, suite_oracle_self):
+        for p, n in ((3, 2), (2, 3)):
+            with pytest.raises(ValueError, match=f"the table is for p={p}, n={n}, not p=2, n=2"):
+                suite(2, 2, 4, SimpleTable(p, n))
+
+
+def test_run_tier_clears_the_oracle_memos(monkeypatch):
+    monkeypatch.setattr(verify, "FAST_TIER", {"thm-2good": [(2, 3, 6)]})
+    assert [rep.verdict for rep in run_tier("fast")] == [True]
+    assert _peel.cache_info().currsize == 0
+    assert _splits.cache_info().currsize == 0
+
+
 def test_oracle_stats_count_each_suite_alone():
     table = SimpleTable(2, 2)
     first = suite_1special(2, 2, 6, table)
@@ -88,8 +106,8 @@ def test_oracle_stats_count_each_suite_alone():
 
 
 def test_suites_are_deterministic():
-    a = suite_thm_2good(2, 2, 6).to_dict()
-    b = suite_thm_2good(2, 2, 6).to_dict()
+    a = suite_thm_2good(2, 2, 6, SimpleTable(2, 2)).to_dict()
+    b = suite_thm_2good(2, 2, 6, SimpleTable(2, 2)).to_dict()
     a.pop("elapsed"), b.pop("elapsed")
     a.pop("oracleStats"), b.pop("oracleStats")
     assert a == b
