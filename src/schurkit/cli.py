@@ -9,35 +9,17 @@ fail, 2 usage or input error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
 from . import classify as cls
+from . import verify
 from .characters import char_from_expr, decompose_schur
 from .errors import ResourceBudgetExceeded, SchurkitError
-from .oracle import DEFAULT_BUDGET, FAMILIES, SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check, product_char
+from .oracle import FAMILIES, SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check, product_char
 from .partitions import PRIME_LIMIT, is_bounded, is_prime, is_restricted, partition
-from .verify import SUITES, run_tier
-
-PREDICATES = (
-    "restricted",
-    "bounded",
-    "1special",
-    "2special",
-    "21special",
-    "beginning",
-    "middle",
-    "end",
-    "primitive",
-    "standard",
-    "2good",
-    "critical",
-    "g1inj",
-    "divind",
-    "spechtLower",
-    "spechtUpper",
-)
 
 
 def _pkey(lam) -> str:
@@ -80,62 +62,56 @@ def _parse_partition(text: str):
         raise SchurkitError(f"invalid partition {text!r}: {exc}") from exc
 
 
-def _evaluate_predicate(name, lam, p, a, b):
-    """Returns (value, witness-or-None)."""
-    if name == "restricted":
-        return is_restricted(lam, p), None
-    if name == "bounded":
-        return is_bounded(lam, a, b), None
-    if name == "1special":
-        return cls.is_1special(lam, p), None
-    if name == "2special":
-        return cls.is_2special(lam, p), None
-    if name == "21special":
-        w = cls.two_one_special_witness(lam, p)
-        return w is not None, (None if w is None else {"mu": list(w[0]), "s": w[1]})
-    if name == "beginning":
-        return cls.is_beginning_term(lam, p), None
-    if name == "middle":
-        return cls.is_middle_term(lam, p), None
-    if name == "end":
-        return cls.is_end_term(lam, p), None
-    if name == "primitive":
-        return cls.primitive_index(lam, p), None
-    if name in ("standard", "2good", "critical"):
-        if name == "critical" and len(lam) > 3:
-            raise SchurkitError("critical is defined for at most three rows")
-        parses = cls.standard_parses(lam, p)
-        witness = None
-        if parses:
-            witness = {
-                "blocks": [
-                    {"primitive": list(b.primitive), "index": b.index, "shift": b.shift}
-                    for b in parses[0].blocks
-                ]
-            }
-        return bool(parses), witness
-    if name == "divind":
-        return cls.divisibility_index_n3(lam, p), None
-    if name == "g1inj":
-        return cls.g1_inj_n3(lam, p), None
-    if name == "spechtLower":
-        return cls.specht_d_lower(lam, p), None
-    if name == "spechtUpper":
-        return cls.specht_d_upper(lam, p), None
-    raise SchurkitError(f"unknown predicate {name!r}")
+def _blocks(parse) -> list:
+    return [{"primitive": list(b.primitive), "index": b.index, "shift": b.shift} for b in parse.blocks]
+
+
+def _standard(lam, p, a, b):
+    parses = cls.standard_parses(lam, p)
+    return bool(parses), ({"blocks": _blocks(parses[0])} if parses else None)
+
+
+def _critical(lam, p, a, b):
+    if len(lam) > 3:
+        raise SchurkitError("critical is defined for at most three rows")
+    return _standard(lam, p, a, b)
+
+
+def _21special(lam, p, a, b):
+    w = cls.two_one_special_witness(lam, p)
+    return w is not None, (None if w is None else {"mu": list(w[0]), "s": w[1]})
+
+
+# predicate name -> evaluator (lam, p, a, b) -> (value, witness or None), in help order
+PREDICATES = {
+    "restricted": lambda lam, p, a, b: (is_restricted(lam, p), None),
+    "bounded": lambda lam, p, a, b: (is_bounded(lam, a, b), None),
+    "1special": lambda lam, p, a, b: (cls.is_1special(lam, p), None),
+    "2special": lambda lam, p, a, b: (cls.is_2special(lam, p), None),
+    "21special": _21special,
+    "beginning": lambda lam, p, a, b: (cls.is_beginning_term(lam, p), None),
+    "middle": lambda lam, p, a, b: (cls.is_middle_term(lam, p), None),
+    "end": lambda lam, p, a, b: (cls.is_end_term(lam, p), None),
+    "primitive": lambda lam, p, a, b: (cls.primitive_index(lam, p), None),
+    "standard": _standard,
+    "2good": _standard,
+    "critical": _critical,
+    "g1inj": lambda lam, p, a, b: (cls.g1_inj_n3(lam, p), None),
+    "divind": lambda lam, p, a, b: (cls.divisibility_index_n3(lam, p), None),
+    "spechtLower": lambda lam, p, a, b: (cls.specht_d_lower(lam, p), None),
+    "spechtUpper": lambda lam, p, a, b: (cls.specht_d_upper(lam, p), None),
+}
 
 
 def _emit(doc, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
+    if args.format == "csv":
         text = _to_csv(doc)
-    elif fmt == "pretty":
+    elif args.format == "pretty":
         text = json.dumps(doc, indent=2, sort_keys=False)
     else:
         text = json.dumps(doc, separators=(",", ":"))
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     sys.stdout.write(text + "\n")
 
@@ -213,7 +189,7 @@ def _output_options(parser) -> None:
 def _table_options(parser, cache_help=None) -> None:
     """--cache and --budget of the oracle-backed subcommands, then the output options."""
     parser.add_argument("--cache", default=None, help=cache_help)
-    parser.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help="orbit terms plus Gram entries held for one weight")
+    parser.add_argument("--budget", type=_positive_int, default=None, help="orbit terms plus Gram entries held for one weight")
     _output_options(parser)
 
 
@@ -310,13 +286,40 @@ def _enumerate_arguments(en) -> None:
     ),
 )
 def _verify_arguments(ve) -> None:
-    ve.add_argument("--suite", choices=sorted(SUITES), default=None)
+    ve.add_argument("--suite", choices=sorted(verify.SUITES), default=None)
     ve.add_argument("--tier", choices=("fast", "extended"), default=None)
     ve.add_argument("--p", type=_prime, default=None)
     ve.add_argument("--n", type=_positive_int, default=None)
     ve.add_argument("--rmax", "--degree", dest="rmax", type=_non_negative_int, default=None)
-    ve.add_argument("--bound", type=_non_negative_int, default=30, help="degree bound for the combinatorial suite")
+    ve.add_argument("--bound", type=_non_negative_int, default=None, help="degree bound for the combinatorial suite")
     _table_options(ve)
+
+
+def _verify_grid(args) -> dict:
+    """The grid `verify` runs: its tier's, or one config of --suite.
+
+    A suite takes the flags named after its function's parameters, and
+    --budget and --cache when one of them is `table`; a parameter without a
+    default needs its flag.  A tier takes --budget and --cache.  Any other
+    flag given, or a needed flag missing, raises SchurkitError naming them."""
+    values = vars(args)
+    given = [name for name, value in values.items() if value is not None and name not in ("command", "format", "out")]
+    if args.tier is not None:
+        params, takes, rejects = {}, {"tier", "cache", "budget"}, "--tier runs a fixed grid and takes no"
+    elif args.suite is not None:
+        params = inspect.signature(verify.SUITES[args.suite]).parameters
+        takes = {"suite", *params, *(("cache", "budget") if "table" in params else ())}
+        rejects = f"suite {args.suite} takes no"
+    else:
+        raise SchurkitError("verify needs --suite or --tier")
+    if stray := [f"--{name}" for name in given if name not in takes]:
+        raise SchurkitError(f"{rejects} {', '.join(stray)}")
+    needed = [name for name, param in params.items() if param.default is param.empty and name != "table"]
+    if missing := [f"--{name}" for name in needed if name not in given]:
+        raise SchurkitError(f"suite {args.suite} needs {', '.join(missing)}")
+    if args.tier is not None:
+        return verify.FAST_TIER if args.tier == "fast" else verify.EXTENDED_TIER
+    return {args.suite: [tuple(values[name] for name in params if name in given)]}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -360,7 +363,7 @@ def _dispatch(args) -> int:
         lam = _parse_partition(args.partition)
         if args.n is not None and len(lam) > args.n:
             raise SchurkitError(f"partition {args.partition} has more than --n {args.n} parts")
-        value, witness = _evaluate_predicate(args.predicate, lam, args.p, args.a, args.b)
+        value, witness = PREDICATES[args.predicate](lam, args.p, args.a, args.b)
         doc = {
             "partition": list(lam),
             "p": args.p,
@@ -379,12 +382,7 @@ def _dispatch(args) -> int:
             "partition": list(lam),
             "p": args.p,
             "standard": bool(parses),
-            "blocks": None
-            if not parses
-            else [
-                {"primitive": list(b.primitive), "index": b.index, "shift": b.shift}
-                for b in parses[0].blocks
-            ],
+            "blocks": _blocks(parses[0]) if parses else None,
         }
         _emit(doc, args)
         return 0
@@ -399,8 +397,10 @@ def _dispatch(args) -> int:
         _emit(doc, args)
         return 0
 
-    # the remaining subcommands are oracle-backed and share this setting
-    cache_dir = args.cache or os.environ.get("SCHURKIT_CACHE")
+    # the remaining subcommands are oracle-backed and share these settings
+    table_options = {"cache_dir": args.cache or os.environ.get("SCHURKIT_CACHE")}
+    if args.budget is not None:
+        table_options["budget"] = args.budget
 
     if args.command == "oracle":
         spec = []
@@ -409,7 +409,7 @@ def _dispatch(args) -> int:
             if kind not in ("S", "Sbar", "Wedge") or not r.isdigit():
                 raise SchurkitError(f"bad factor spec {item!r}; expected Kind:degree")
             spec.append((kind, int(r)))
-        with SimpleTable(args.p, args.n, args.budget, cache_dir) as table:  # persists also after a budget trip
+        with SimpleTable(args.p, args.n, **table_options) as table:  # persists also after a budget trip
             chi = product_char(spec, table.p, table.n)
             factors = decompose_simples(chi, table)
             doc = {
@@ -420,7 +420,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "enumerate":
-        with SimpleTable(args.p, args.n, args.budget, cache_dir) as table:
+        with SimpleTable(args.p, args.n, **table_options) as table:
             labels = enumerate_factors(args.family, args.degree, table)
         doc = {
             "family": args.family,
@@ -433,23 +433,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify":
-        reports = []
-        if args.tier:
-            ignored = [f"--{flag}" for flag in ("suite", "p", "n", "rmax") if getattr(args, flag) is not None]
-            if ignored:
-                raise SchurkitError(f"--tier runs a fixed grid and takes no {', '.join(ignored)}")
-            reports = run_tier(args.tier, args.budget, cache_dir)
-        elif args.suite == "combinatorial":
-            if args.p is None:
-                raise SchurkitError("combinatorial suite needs --p")
-            reports = [SUITES["combinatorial"](args.p, args.bound)]
-        elif args.suite:
-            if args.p is None or args.n is None or args.rmax is None:
-                raise SchurkitError(f"suite {args.suite} needs --p, --n and --rmax")
-            with SimpleTable(args.p, args.n, args.budget, cache_dir) as table:
-                reports = [SUITES[args.suite](args.p, args.n, args.rmax, table)]
-        else:
-            raise SchurkitError("verify needs --suite or --tier")
+        reports = verify.run(_verify_grid(args), **table_options)
         doc = (
             reports[0].to_dict()
             if len(reports) == 1

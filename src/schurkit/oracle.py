@@ -342,6 +342,7 @@ class SimpleTable:
         self.p = p
         self.n = n
         self.budget = budget
+        self.cache_dir = cache_dir
         self.cache: dict[Partition, SymChar] = {}
         self.hits = 0
         self.misses = 0

@@ -10,10 +10,13 @@ elapsed-time field.
 
 from __future__ import annotations
 
+import inspect
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import classify
+from .characters import frobenius_twist, kostka, schur_char
 from .classify import (
     is_1special,
     is_21good_piecewise,
@@ -22,10 +25,13 @@ from .classify import (
     is_2special,
     standard_parses,
 )
-from .oracle import DEFAULT_BUDGET, SimpleTable, enumerate_factors
+from .oracle import SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check, product_char, simple_char_defect
 from .partitions import (
+    Dominance,
     add,
+    addable_nodes,
     dagger,
+    dominance_leq,
     is_bounded,
     is_restricted,
     omega,
@@ -35,6 +41,8 @@ from .partitions import (
     partitions_of,
     partitions_up_to,
     recombine,
+    removable_nodes,
+    restricted_split,
     rim_hook_removals,
     suitable_nodes,
     remove_node,
@@ -59,8 +67,8 @@ FAST_TIER = {
         (5, 3, 14),
     ],
     # the next two families are finite: each config reaches its top degree
-    "thm-21special": [(2, 3, 10), (3, 3, 15), (5, 2, 18)],
-    "1special": [(p, n, max(8, n * (p - 1))) for p in (2, 3, 5) for n in (1, 2, 3, 4)],
+    "thm-21special": [(2, 3, 10), (3, 3, 15), (5, 2, 18), (5, 3, 27), (3, 4, 20), (2, 6, 18)],
+    "1special": [(p, n, max(8, n * (p - 1))) for p in (2, 3, 5) for n in (1, 2, 3, 4)] + [(7, 4, 24), (5, 5, 20)],
     "combinatorial": [(2, 30), (3, 30), (5, 30), (7, 30)],
     "oracle-self": [(2, 2, 10), (3, 3, 9), (5, 2, 8)],
 }
@@ -78,11 +86,14 @@ EXTENDED_TIER = {
 class SuiteReport:
     suite: str
     params: dict
-    verdict: bool
     discrepancies: list
     elapsed: float
     oracle_stats: dict | None = None
     sub_reports: list = field(default_factory=list)
+
+    @property
+    def verdict(self) -> bool:
+        return not self.discrepancies
 
     def to_dict(self) -> dict:
         out = {
@@ -133,14 +144,8 @@ def _set_equality_suite(name, predicate, family, rmax, table):
                         "actual": lam in oracle_set,
                     }
                 )
-    return SuiteReport(
-        suite=name,
-        params={"p": p, "n": n, "rmax": rmax, "family": family},
-        verdict=not discrepancies,
-        discrepancies=discrepancies,
-        elapsed=time.time() - start,
-        oracle_stats=_stats_since(table, before),
-    )
+    params = {"p": p, "n": n, "rmax": rmax, "family": family}
+    return SuiteReport(name, params, discrepancies, time.time() - start, _stats_since(table, before))
 
 
 def suite_thm_2good(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteReport:
@@ -158,37 +163,45 @@ def suite_1special(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteReport
     return _set_equality_suite("1special", is_1special, "Sbar", rmax, _checked(table, p, n))
 
 
+def _sub_report(name: str, check) -> SuiteReport:
+    """Run and time check, a generator that yields the params of sub-report
+    `name` and then each discrepancy it finds."""
+    start = time.time()
+    params, *bad = check
+    return SuiteReport(name, params, bad, time.time() - start)
+
+
+def _with_subs(name, params, subs, start, oracle_stats=None) -> SuiteReport:
+    """The report of a suite made of the sub-reports subs."""
+    discrepancies = [d for rep in subs for d in rep.discrepancies]
+    return SuiteReport(name, params, discrepancies, time.time() - start, oracle_stats, subs)
+
+
 # --- combinatorial invariants ---------------------------------------------------
 
 
-def _sub(name, params, discrepancies, start):
-    return SuiteReport(name, params, not discrepancies, discrepancies, time.time() - start)
-
-
 def _check_transpose_involution(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 30)):
+    bound = min(bound, 30)
+    yield {"bound": bound}
+    for lam in partitions_up_to(bound):
         if transpose(transpose(lam)) != lam:
-            bad.append({"partition": list(lam)})
-    return _sub("combinatorial/transpose-involution", {"bound": min(bound, 30)}, bad, start)
+            yield {"partition": list(lam)}
 
 
 def _check_bounded_duality(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 25)):
+    bound = min(bound, 25)
+    yield {"bound": bound}
+    for lam in partitions_up_to(bound):
         conj = transpose(lam)
         for a in range(5):
             for b in range(5):
                 if is_bounded(lam, a, b) != is_bounded(conj, b, a):
-                    bad.append({"partition": list(lam), "a": a, "b": b})
-    return _sub("combinatorial/bounded-duality", {"bound": min(bound, 25)}, bad, start)
+                    yield {"partition": list(lam), "a": a, "b": b}
 
 
 def _check_p_core(p, bound):
-    start = time.time()
-    bad = []
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
     cores: dict = {}
 
     def all_core_results(lam):
@@ -199,7 +212,7 @@ def _check_p_core(p, bound):
         cores[lam] = out
         return out
 
-    for lam in partitions_up_to(min(bound, 20)):
+    for lam in partitions_up_to(bound):
         core = p_core(lam, p)
         reasons = []
         if p_core(core, p) != core:
@@ -210,38 +223,33 @@ def _check_p_core(p, bound):
         if via_stripping != {core}:
             reasons.append(f"rim stripping order-dependent: {sorted(via_stripping)}")
         if reasons:
-            bad.append({"partition": list(lam), "reasons": reasons})
-    return _sub("combinatorial/p-core", {"p": p, "bound": min(bound, 20)}, bad, start)
+            yield {"partition": list(lam), "reasons": reasons}
 
 
 def _check_digits(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 20)):
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         dg = p_adic_digits(lam, p)
         if recombine(dg.digits, p) != lam or not all(is_restricted(d, p) for d in dg.digits):
-            bad.append({"partition": list(lam)})
-    return _sub("combinatorial/digit-roundtrip", {"p": p, "bound": min(bound, 20)}, bad, start)
+            yield {"partition": list(lam)}
 
 
 def _check_dagger_involution(p, bound):
-    start = time.time()
-    bad = []
+    # each box n x c caps the degree itself, so the sub-report records the bound uncapped
+    yield {"p": p, "bound": bound}
     for a, b in ((1, 0), (2, 0), (2, 1), (0, 1)):
         c = a * (p - 1) + b
         for n in range(1, 5):
             for lam in partitions_up_to(min(bound, c * n), max_len=n, max_part=c):
                 if dagger(dagger(lam, a, b, p, n), a, b, p, n) != lam:
-                    bad.append({"partition": list(lam), "a": a, "b": b, "n": n})
-    return _sub("combinatorial/dagger-involution", {"p": p, "bound": bound}, bad, start)
+                    yield {"partition": list(lam), "a": a, "b": b, "n": n}
 
 
 def _check_residue_negation(p, bound):
-    start = time.time()
-    bad = []
-    from .partitions import addable_nodes, removable_nodes
-
-    for lam in partitions_up_to(min(bound, 20)):
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         ours = [(nd.row, nd.col) for nd in suitable_nodes(lam, p)]
         adds = [(r, (c - r) % p) for r, c in addable_nodes(lam)]
         flipped = [
@@ -250,36 +258,32 @@ def _check_residue_negation(p, bound):
             if all(ar <= r or ares != (c - r) % p for ar, ares in adds)
         ]
         if ours != flipped:
-            bad.append({"partition": list(lam)})
-    return _sub("combinatorial/residue-negation", {"p": p, "bound": min(bound, 20)}, bad, start)
+            yield {"partition": list(lam)}
 
 
 def _check_parse_uniqueness(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 30)):
+    bound = min(bound, 30)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         count = len(standard_parses(lam, p))
         if count > 1:
-            bad.append({"partition": list(lam), "parses": count})
-    return _sub("combinatorial/parse-uniqueness", {"p": p, "bound": min(bound, 30)}, bad, start)
+            yield {"partition": list(lam), "parses": count}
 
 
 def _check_reciprocity(p, bound):
     # the stated domain is the full n x (2p-1) box for n <= 6, so the degree
     # bound is not applied here
-    start = time.time()
-    bad = []
+    yield {"p": p, "maxLen": 6, "maxPart": 2 * p - 1}
     for n in range(1, 7):
         for lam in partitions_up_to(n * (2 * p - 1), max_len=n, max_part=2 * p - 1):
             if is_21special(lam, p) != is_21special(dagger(lam, 2, 1, p, n), p):
-                bad.append({"partition": list(lam), "n": n})
-    return _sub("combinatorial/reciprocity", {"p": p, "maxLen": 6, "maxPart": 2 * p - 1}, bad, start)
+                yield {"partition": list(lam), "n": n}
 
 
 def _check_row_removal(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 20)):
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         if len(lam) < 1:
             continue
         for pred in (is_2special, is_21special, is_2good):
@@ -287,166 +291,142 @@ def _check_row_removal(p, bound):
                 drop_last = lam[:-1]
                 drop_first = partition(lam[1:])
                 if not pred(drop_last, p) or not pred(drop_first, p):
-                    bad.append({"partition": list(lam), "predicate": pred.__name__})
-    return _sub("combinatorial/row-removal", {"p": p, "bound": min(bound, 20)}, bad, start)
+                    yield {"partition": list(lam), "predicate": pred.__name__}
 
 
 def _check_full_first_row(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 20)):
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         if lam and lam[0] == 2 * p - 1:
             if is_21special(lam, p) != is_21special(partition(lam[1:]), p):
-                bad.append({"partition": list(lam)})
-    return _sub("combinatorial/full-first-row", {"p": p, "bound": min(bound, 20)}, bad, start)
+                yield {"partition": list(lam)}
 
 
 def _check_additivity(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 20)):
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         if not is_2special(lam, p):
             continue
         for s in range(len(lam) + 3):
             if not is_21special(add(lam, omega(s)), p):
-                bad.append({"partition": list(lam), "s": s})
-    return _sub("combinatorial/additivity", {"p": p, "bound": min(bound, 20)}, bad, start)
+                yield {"partition": list(lam), "s": s}
 
 
 def _check_piecewise(p, bound):
-    start = time.time()
     if p == 2:
-        rep = _sub("combinatorial/piecewise-consistency", {"p": p, "skipped": "precondition p>2"}, [], start)
-        return rep
-    bad = []
-    for lam in partitions_up_to(min(bound, 25)):
+        yield {"p": p, "skipped": "precondition p>2"}
+        return
+    bound = min(bound, 25)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         if is_restricted(lam, p):
             if is_21good_piecewise(lam, p) != is_21special(lam, p):
-                bad.append({"partition": list(lam)})
-    return _sub("combinatorial/piecewise-consistency", {"p": p, "bound": min(bound, 25)}, bad, start)
+                yield {"partition": list(lam)}
 
 
 def _check_core_gate(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 20)):
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         if is_21special(lam, p) and not is_bounded(p_core(lam, p), 2, 1):
-            bad.append({"partition": list(lam), "core": list(p_core(lam, p))})
-    return _sub("combinatorial/p-core-gate", {"p": p, "bound": min(bound, 20)}, bad, start)
+            yield {"partition": list(lam), "core": list(p_core(lam, p))}
 
 
 def _check_suitable_closure(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 20)):
+    bound = min(bound, 20)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         if not is_21special(lam, p):
             continue
         for node in suitable_nodes(lam, p):
             if not is_21special(remove_node(lam, node), p):
-                bad.append({"partition": list(lam), "node": [node.row, node.col]})
-    return _sub("combinatorial/suitable-node-closure", {"p": p, "bound": min(bound, 20)}, bad, start)
+                yield {"partition": list(lam), "node": [node.row, node.col]}
 
 
 def _check_2special_standard(p, bound):
-    start = time.time()
-    bad = []
-    for lam in partitions_up_to(min(bound, 30)):
+    bound = min(bound, 30)
+    yield {"p": p, "bound": bound}
+    for lam in partitions_up_to(bound):
         if is_2special(lam, p) and not classify.is_standard(lam, p):
-            bad.append({"partition": list(lam)})
-    return _sub("combinatorial/2special-is-standard", {"p": p, "bound": min(bound, 30)}, bad, start)
+            yield {"partition": list(lam)}
 
 
-_COMBINATORIAL_CHECKS = (
-    _check_transpose_involution,
-    _check_bounded_duality,
-    _check_p_core,
-    _check_digits,
-    _check_dagger_involution,
-    _check_residue_negation,
-    _check_parse_uniqueness,
-    _check_reciprocity,
-    _check_row_removal,
-    _check_full_first_row,
-    _check_additivity,
-    _check_piecewise,
-    _check_core_gate,
-    _check_suitable_closure,
-    _check_2special_standard,
-)
+_COMBINATORIAL_CHECKS = {
+    "transpose-involution": _check_transpose_involution,
+    "bounded-duality": _check_bounded_duality,
+    "p-core": _check_p_core,
+    "digit-roundtrip": _check_digits,
+    "dagger-involution": _check_dagger_involution,
+    "residue-negation": _check_residue_negation,
+    "parse-uniqueness": _check_parse_uniqueness,
+    "reciprocity": _check_reciprocity,
+    "row-removal": _check_row_removal,
+    "full-first-row": _check_full_first_row,
+    "additivity": _check_additivity,
+    "piecewise-consistency": _check_piecewise,
+    "p-core-gate": _check_core_gate,
+    "suitable-node-closure": _check_suitable_closure,
+    "2special-is-standard": _check_2special_standard,
+}
 
 
-def suite_combinatorial(p: int, bound: int) -> SuiteReport:
+def suite_combinatorial(p: int, bound: int = 30) -> SuiteReport:
     """Exhaustive structural identities of the partition and classification layers."""
     start = time.time()
-    subs = [check(p, bound) for check in _COMBINATORIAL_CHECKS]
-    discrepancies = [d for rep in subs for d in rep.discrepancies]
-    return SuiteReport(
-        suite="combinatorial",
-        params={"p": p, "bound": bound},
-        verdict=all(r.verdict for r in subs),
-        discrepancies=discrepancies,
-        elapsed=time.time() - start,
-        sub_reports=subs,
-    )
+    subs = [_sub_report(f"combinatorial/{name}", check(p, bound)) for name, check in _COMBINATORIAL_CHECKS.items()]
+    return _with_subs("combinatorial", {"p": p, "bound": bound}, subs, start)
 
 
 # --- oracle self-audits ----------------------------------------------------------
 
 
-def oracle_self_checks(rmax: int, table: SimpleTable) -> list:
-    """Gram sanity, Steinberg, semisimple range, block gate, dimension audit,
-    stability in n, and restricted good = special, at the table's (p, n)."""
-    from .characters import frobenius_twist, kostka, schur_char
-    from .oracle import decompose_simples, factor_dimensions_check, product_char, simple_char_defect
-    from .partitions import Dominance, dominance_leq, restricted_split
-
-    p, n = table.p, table.n
-    subs = []
-
-    start = time.time()
-    bad = []
-    lams = list(partitions_up_to(rmax, max_len=n))
-    for lam in lams:
+def _check_gram_sanity(p, n, rmax, table, bigger):
+    yield {"p": p, "n": n, "rmax": rmax}
+    for lam in partitions_up_to(rmax, max_len=n):
         chi = table.char(lam)
         if defect := simple_char_defect(lam, chi.coeffs):
-            bad.append({"partition": list(lam), "reason": defect})
+            yield {"partition": list(lam), "reason": defect}
         for mu, c in chi.coeffs.items():
             if c > kostka(lam, mu) or dominance_leq(mu, lam) is not Dominance.LEQ:
-                bad.append({"partition": list(lam), "weight": list(mu)})
-    subs.append(_sub("oracle-self/gram-sanity", {"p": p, "n": n, "rmax": rmax}, bad, start))
+                yield {"partition": list(lam), "weight": list(mu)}
 
-    start = time.time()
-    bad = []
-    for lam in lams:
+
+def _check_steinberg(p, n, rmax, table, bigger):
+    yield {"p": p, "n": n, "rmax": rmax}
+    for lam in partitions_up_to(rmax, max_len=n):
         if is_restricted(lam, p):
             continue
         lam0, lbar = restricted_split(lam, p)
         if table.char(lam) != table.char(lam0) * frobenius_twist(table.char(lbar), p):
-            bad.append({"partition": list(lam)})
-    subs.append(_sub("oracle-self/steinberg", {"p": p, "n": n, "rmax": rmax}, bad, start))
+            yield {"partition": list(lam)}
 
-    start = time.time()
-    bad = []
-    for lam in lams:
+
+def _check_semisimple_range(p, n, rmax, table, bigger):
+    yield {"p": p, "n": n, "rmax": rmax}
+    for lam in partitions_up_to(rmax, max_len=n):
         if sum(lam) < p and table.char(lam) != schur_char(lam, n):
-            bad.append({"partition": list(lam)})
-    subs.append(_sub("oracle-self/semisimple-range", {"p": p, "n": n, "rmax": rmax}, bad, start))
+            yield {"partition": list(lam)}
 
-    start = time.time()
-    bad = []
-    for mu in partitions_up_to(min(rmax, 10), max_len=n):
+
+def _check_block_gate(p, n, rmax, table, bigger):
+    bound = min(rmax, 10)
+    yield {"p": p, "n": n, "bound": bound}
+    for mu in partitions_up_to(bound, max_len=n):
         chi = schur_char(mu, n)
         factors = decompose_simples(chi, table)
         for lam in factors:
             if p_core(lam, p) != p_core(mu, p):
-                bad.append({"partition": list(mu), "factor": list(lam)})
+                yield {"partition": list(mu), "factor": list(lam)}
         if not factor_dimensions_check(factors, chi, table):
-            bad.append({"partition": list(mu), "reason": "dimension mismatch"})
-    subs.append(_sub("oracle-self/block-gate", {"p": p, "n": n, "bound": min(rmax, 10)}, bad, start))
+            yield {"partition": list(mu), "reason": "dimension mismatch"}
 
-    start = time.time()
-    bad = []
-    for r in range(min(rmax, 8) + 1):
+
+def _check_dimension_audit(p, n, rmax, table, bigger):
+    bound = min(rmax, 8)
+    yield {"p": p, "n": n, "bound": bound}
+    for r in range(bound + 1):
         for a in range(r // 2 + 1):
             for spec in (
                 (("S", a), ("S", r - a)),
@@ -454,50 +434,66 @@ def oracle_self_checks(rmax: int, table: SimpleTable) -> list:
             ):
                 chi = product_char(spec, p, n)
                 if not factor_dimensions_check(decompose_simples(chi, table), chi, table):
-                    bad.append({"spec": [list(t) for t in spec]})
-    subs.append(_sub("oracle-self/dimension-audit", {"p": p, "n": n, "bound": min(rmax, 8)}, bad, start))
+                    yield {"spec": [list(t) for t in spec]}
 
-    start = time.time()
-    bad = []
-    if n < 4:
-        bigger = SimpleTable(p, n + 1, budget=table.budget)
-        for family in ("SS", "Sbar"):
-            for r in range(min(rmax, 8) + 1):
-                small = enumerate_factors(family, r, table)
-                big = enumerate_factors(family, r, bigger)
-                if small != {lam for lam in big if len(lam) <= n}:
-                    bad.append({"family": family, "degree": r})
-    subs.append(_sub("oracle-self/stability", {"p": p, "n": n, "bound": min(rmax, 8)}, bad, start))
 
-    start = time.time()
-    bad = []
-    for r in range(min(rmax, 8) + 1):
+def _check_stability(p, n, rmax, table, bigger):
+    bound = min(rmax, 8)
+    yield {"p": p, "n": n, "bound": bound}
+    if bigger is None:
+        return
+    for family in ("SS", "Sbar"):
+        for r in range(bound + 1):
+            small = enumerate_factors(family, r, table)
+            big = enumerate_factors(family, r, bigger)
+            if small != {lam for lam in big if len(lam) <= n}:
+                yield {"family": family, "degree": r}
+
+
+def _check_restricted_good_special(p, n, rmax, table, bigger):
+    bound = min(rmax, 8)
+    yield {"p": p, "n": n, "bound": bound}
+    for r in range(bound + 1):
         good = enumerate_factors("SS", r, table)
         special = enumerate_factors("SbarSbar", r, table)
         if {l for l in good if is_restricted(l, p)} != {l for l in special if is_restricted(l, p)}:
-            bad.append({"degree": r})
-    subs.append(_sub("oracle-self/restricted-good-special", {"p": p, "n": n, "bound": min(rmax, 8)}, bad, start))
+            yield {"degree": r}
 
-    return subs
+
+_ORACLE_SELF_CHECKS = {
+    "gram-sanity": _check_gram_sanity,
+    "steinberg": _check_steinberg,
+    "semisimple-range": _check_semisimple_range,
+    "block-gate": _check_block_gate,
+    "dimension-audit": _check_dimension_audit,
+    "stability": _check_stability,
+    "restricted-good-special": _check_restricted_good_special,
+}
 
 
 def suite_oracle_self(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteReport:
-    """Internal consistency of the brute-force oracle."""
+    """Internal consistency of the brute-force oracle at the table's (p, n):
+    Gram sanity, Steinberg, semisimple range, block gate, dimension audit,
+    stability in n, and restricted good = special.  For n < 4 the stability
+    check opens the table of (p, n + 1) with this table's budget and cache
+    directory, and its hits and misses count in the report's oracle stats."""
     start = time.time()
     before = _checked(table, p, n).stats()
-    subs = oracle_self_checks(rmax, table)
-    discrepancies = [d for rep in subs for d in rep.discrepancies]
-    return SuiteReport(
-        suite="oracle-self",
-        params={"p": p, "n": n, "rmax": rmax},
-        verdict=all(r.verdict for r in subs),
-        discrepancies=discrepancies,
-        elapsed=time.time() - start,
-        oracle_stats=_stats_since(table, before),
-        sub_reports=subs,
-    )
+    with SimpleTable(p, n + 1, table.budget, table.cache_dir) if n < 4 else nullcontext() as bigger:
+        subs = [
+            _sub_report(f"oracle-self/{name}", check(p, n, rmax, table, bigger))
+            for name, check in _ORACLE_SELF_CHECKS.items()
+        ]
+    stats = _stats_since(table, before)
+    if bigger is not None:
+        stats["cacheHits"] += bigger.hits
+        stats["cacheMisses"] += bigger.misses
+    return _with_subs("oracle-self", {"p": p, "n": n, "rmax": rmax}, subs, start, stats)
 
 
+# Each suite's parameters are those of its function: a grid config gives the
+# ones before `table`, and a suite that takes a table runs on the SimpleTable
+# of its config's (p, n).
 SUITES = {
     "thm-2good": suite_thm_2good,
     "thm-21special": suite_thm_21special,
@@ -507,24 +503,25 @@ SUITES = {
 }
 
 
-def run_tier(tier: str, budget: int = DEFAULT_BUDGET, cache_dir: str | None = None) -> list:
-    """Run the whole battery for a tier; returns the list of reports.
+def run(grid: dict, **table_options) -> list:
+    """The reports of each suite of grid, {name: [config, ...]}, on each of
+    its configs in order.
 
-    Each (p, n) gets one table, shared by the suites that use it; a suite
-    runs in the table's with block, so the table is persisted after each
-    suite when cache_dir is given."""
-    grid = FAST_TIER if tier == "fast" else EXTENDED_TIER
+    The suites that take a table share one SimpleTable(p, n, **table_options)
+    per (p, n), and each suite runs in that table's with block, so with a
+    cache directory the table is persisted after each suite."""
     reports = []
     tables: dict = {}
     for name, configs in grid.items():
+        suite = SUITES[name]
+        takes_table = "table" in inspect.signature(suite).parameters
         for cfg in configs:
-            if name == "combinatorial":
-                p, bound = cfg
-                reports.append(suite_combinatorial(p, bound))
-            else:
-                p, n, rmax = cfg
-                if (p, n) not in tables:
-                    tables[p, n] = SimpleTable(p, n, budget, cache_dir)
-                with tables[p, n] as table:
-                    reports.append(SUITES[name](p, n, rmax, table))
+            if not takes_table:
+                reports.append(suite(*cfg))
+                continue
+            p, n = cfg[:2]
+            if (p, n) not in tables:
+                tables[p, n] = SimpleTable(p, n, **table_options)
+            with tables[p, n] as table:
+                reports.append(suite(*cfg, table))
     return reports

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -59,6 +60,59 @@ def test_classify_parse_error_exits_2(capsys):
 def test_classify_divind(capsys):
     code, out, _ = run_cli(capsys, "classify", "--p", "5", "[2,2,2]", "--predicate", "divind")
     assert code == 0 and json.loads(out)["value"] == 2
+
+
+PARTITIONS = ["[7,4,3]", "[2,2,2]", "[4,3,1]", "[5,2]", "[2,1,1,1]", "[]"]
+STANDARD = [
+    [True, {"blocks": [{"primitive": [7, 4, 3], "index": 1, "shift": 0}]}],
+    [True, {"blocks": [{"primitive": [2, 2, 2], "index": 0, "shift": 0}]}],
+    [True, {"blocks": [{"primitive": [4, 3, 1], "index": 0, "shift": 0}]}],
+    [True, {"blocks": [{"primitive": [2, 2], "index": 0, "shift": 0}, {"primitive": [1], "index": 0, "shift": 1}]}],
+    False,
+    [True, {"blocks": []}],
+]
+# classify --p 3 --a 1 --b 2 on each of PARTITIONS: the value, [value, witness]
+# when there is a witness, or the exit code of a rejected request
+CLASSIFIED = {
+    "restricted": [False, True, True, False, True, True],
+    "bounded": [False, True, False, True, True, True],
+    "1special": [False, True, False, False, False, True],
+    "2special": [False, True, True, False, False, True],
+    "21special": [
+        False,
+        [True, {"mu": [2, 2, 2], "s": 0}],
+        [True, {"mu": [4, 3, 1], "s": 0}],
+        [True, {"mu": [4, 2], "s": 1}],
+        [True, {"mu": [1, 1, 1, 1], "s": 1}],
+        [True, {"mu": [], "s": 0}],
+    ],
+    "beginning": [False, False, False, False, False, True],
+    "middle": [False, True, False, False, True, False],
+    "end": [False, False, False, False, True, False],
+    "primitive": [1, 0, 0, None, None, 0],
+    "standard": STANDARD,
+    "2good": STANDARD,
+    "critical": STANDARD[:4] + ["exit 2"] + STANDARD[5:],
+    "g1inj": [True, False, True, False, "exit 2", False],
+    "divind": [0, 0, 0, 0, "exit 2", 0],
+    "spechtLower": ["exit 2", True, True, "exit 2", True, True],
+    "spechtUpper": [True, "exit 2", True, True, "exit 2", True],
+}
+
+
+def test_every_predicate_classifies_as_before(capsys):
+    assert list(CLASSIFIED) == list(cli.PREDICATES)  # and so the help order
+    for predicate, expected in CLASSIFIED.items():
+        got = []
+        for lam in PARTITIONS:
+            code, out, _ = run_cli(capsys, "classify", lam, "--p", "3", "--predicate", predicate, "--a", "1", "--b", "2")
+            if code:
+                got.append(f"exit {code}")
+                continue
+            doc = json.loads(out)
+            assert doc["partition"] == json.loads(lam) and doc["p"] == 3 and doc["predicate"] == predicate
+            got.append([doc["value"], doc["witness"]] if "witness" in doc else doc["value"])
+        assert got == expected, predicate
 
 
 def test_parse_subcommand(capsys):
@@ -153,6 +207,12 @@ def test_verify_combinatorial_cli(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+def test_verify_combinatorial_bound_defaults_to_30(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_COMBINATORIAL_CHECKS", {})
+    code, out, _ = run_cli(capsys, "verify", "--suite", "combinatorial", "--p", "2")
+    assert code == 0 and json.loads(out)["params"] == {"p": 2, "bound": 30}
+
+
 def test_verify_missing_args(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "thm-2good", "--p", "3")
     assert code == 2 and "rmax" in err
@@ -216,7 +276,8 @@ def test_verify_tier_writes_one_cache_file_per_table(tmp_path, capsys, monkeypat
     code, out, _ = run_cli(capsys, "verify", "--tier", "fast", "--cache", str(tmp_path))
     assert code == 0 and json.loads(out)["verdict"] == "pass"
     names = sorted(f.name for f in tmp_path.iterdir())
-    assert names == ["simple_p2_n2.jsonl", "simple_p3_n1.jsonl", "simple_p3_n2.jsonl"]
+    # oracle-self's stability check at (2, 2) reads the table of (2, 3)
+    assert names == ["simple_p2_n2.jsonl", "simple_p2_n3.jsonl", "simple_p3_n1.jsonl", "simple_p3_n2.jsonl"]
 
 
 def test_verify_tier_rejects_the_flags_it_would_ignore(capsys, monkeypatch):
@@ -227,6 +288,63 @@ def test_verify_tier_rejects_the_flags_it_would_ignore(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--tier", "fast", "--p", "3", "--n", "3", "--rmax", "4")
     assert code == 2 and out == "" and "takes no --p, --n, --rmax" in err
     assert run_cli(capsys, "verify", "--tier", "fast")[0] == 0
+
+
+# the flags of `verify` that select what runs; --format and --out apply to any report
+VERIFY_FLAGS = [name for name in vars(build_parser().parse_args(["verify"])) if name not in ("command", "format", "out")]
+
+
+def _suite_flags(suite):
+    """The flags a suite takes, and those it needs, from its function's parameters."""
+    params = inspect.signature(verify.SUITES[suite]).parameters
+    takes = {"suite", *params, *(("cache", "budget") if "table" in params else ())}
+    needs = [name for name, param in params.items() if param.default is param.empty and name != "table"]
+    return takes, needs
+
+
+def _flag_value(flag, tmp_path):
+    # small values, so that a suite that wrongly ran would still end quickly
+    return {"suite": "combinatorial", "tier": "fast", "cache": str(tmp_path)}.get(flag, "2")
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [(suite, flag) for suite in sorted(verify.SUITES) for flag in VERIFY_FLAGS if flag not in _suite_flags(suite)[0]],
+)
+def test_verify_suite_rejects_a_flag_it_does_not_take(suite, flag, tmp_path, capsys):
+    needs = [x for name in _suite_flags(suite)[1] for x in (f"--{name}", _flag_value(name, tmp_path))]
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *needs, f"--{flag}", _flag_value(flag, tmp_path))
+    assert code == 2 and out == ""
+    assert f"--{flag}" in err
+
+
+@pytest.mark.parametrize(
+    "suite, flag", [(suite, flag) for suite in sorted(verify.SUITES) for flag in _suite_flags(suite)[1]]
+)
+def test_verify_suite_needs_its_parameters(suite, flag, tmp_path, capsys):
+    others = [x for name in _suite_flags(suite)[1] if name != flag for x in (f"--{name}", _flag_value(name, tmp_path))]
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *others)
+    assert code == 2 and out == ""
+    assert f"--{flag}" in err
+
+
+@pytest.mark.parametrize("flag", [flag for flag in VERIFY_FLAGS if flag not in ("tier", "cache", "budget")])
+def test_verify_tier_rejects_a_flag_it_does_not_take(flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "FAST_TIER", {"combinatorial": [(2, 4)]})
+    code, out, err = run_cli(capsys, "verify", "--tier", "fast", f"--{flag}", _flag_value(flag, tmp_path))
+    assert code == 2 and out == ""
+    assert f"--{flag}" in err
+
+
+def test_oracle_self_stability_table_is_cached(tmp_path, capsys):
+    argv = ("verify", "--suite", "oracle-self", "--p", "2", "--n", "2", "--rmax", "8", "--cache", str(tmp_path))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the n=2 table alone misses 25 characters
+    assert json.loads(out)["oracleStats"]["cacheMisses"] > 25
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["simple_p2_n2.jsonl", "simple_p2_n3.jsonl"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["oracleStats"]["cacheMisses"] == 0
 
 
 def test_oracle_factors_builds_the_product_once(capsys, monkeypatch):

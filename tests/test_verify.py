@@ -8,7 +8,7 @@ from schurkit.verify import (
     EXTENDED_TIER,
     FAST_TIER,
     _set_equality_suite,
-    run_tier,
+    run,
     suite_1special,
     suite_combinatorial,
     suite_oracle_self,
@@ -88,9 +88,8 @@ def test_suites_reject_a_table_of_another_p_n():
                 suite(2, 2, 4, SimpleTable(p, n))
 
 
-def test_run_tier_clears_the_oracle_memos(monkeypatch):
-    monkeypatch.setattr(verify, "FAST_TIER", {"thm-2good": [(2, 3, 6)]})
-    assert [rep.verdict for rep in run_tier("fast")] == [True]
+def test_run_clears_the_oracle_memos():
+    assert [rep.verdict for rep in run({"thm-2good": [(2, 3, 6)]})] == [True]
     assert _peel.cache_info().currsize == 0
     assert _splits.cache_info().currsize == 0
 
@@ -119,6 +118,9 @@ def test_fast_tier_configs_present():
     assert {(3, 4, 10), (5, 3, 14)} <= set(FAST_TIER["thm-2good"])
     assert {(2, 3, 10), (3, 3, 15), (5, 2, 18)} <= set(FAST_TIER["thm-21special"])
     assert {(5, 3, 12), (5, 4, 16)} <= set(FAST_TIER["1special"])
+    # whole families at larger p and n
+    assert {(5, 3, 27), (3, 4, 20), (2, 6, 18)} <= set(FAST_TIER["thm-21special"])
+    assert {(7, 4, 24), (5, 5, 20)} <= set(FAST_TIER["1special"])
     # S̄^r E vanishes above r = n(p-1) and Λ^c E above c = n, so each
     # finite family is checked whole at its top degree
     for p, n, rmax in FAST_TIER["1special"]:
