@@ -49,14 +49,21 @@ one vector per semistandard tableau T of shape lam (R. W. Carter and
 G. Lusztig, Math. Z. 136 (1974); Green, LNM 830), where F^(T) is the product
 over rows r of T of E_jr^(t_rj) for the t_rj letters j > r in row r, the
 bottom row acting first.  Reduced mod p, the vectors of content nu span M_nu,
-so only the dominant weights nu are visited, and of those only the nu that
-lam dominates, since no other nu has a tableau.  The tableaux are peeled as
-horizontal strips, largest letter first, and a strip is followed only when
-its inner shape dominates the rest of the content, so every branch ends in a
-tableau; the peel of each (shape, content) is memoised.  The vectors are
-row-reduced to an echelon basis, and the Gram rank of that basis is the
-multiplicity of nu.  The Gram matrix is summed orbit by orbit over the rows
-that hold each orbit.
+so only the dominant weights nu are visited, and only the nu that lam
+dominates are generated, since no other nu has a tableau.  The tableaux are
+peeled as horizontal strips, largest letter first.  A strip's inner shape is
+built row by row and cut short as soon as it stops dominating the rest of the
+content, so every branch ends in a tableau; the peel of each (shape, content)
+is memoised.  The vectors are row-reduced to an echelon basis, and the Gram
+rank of that basis is the multiplicity of nu.  The Gram matrix is summed
+orbit by orbit over the rows that hold each orbit.
+
+Full columns.  When lam has n parts, its first k = lam_n columns hold the
+full block 1..n in every word.  A full block holds every letter, so no
+lowering moves it, and in an orbit it is the only block of height n, so it
+adds the same factorial above and below |O|.  The vectors, Gram matrices and
+ranks of lam are therefore those of lam - k 1^n with every weight shifted by
+k 1^n, and a table that computed lam - k 1^n shifts its character.
 
 Budget.  A table's budget caps what one dominant weight holds: the orbit
 terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
@@ -70,12 +77,13 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, prod
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .characters import SymChar, _horizontal_strip_removals, power_char
+from .characters import SymChar, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError, VariableCountMismatch
-from .partitions import Dominance, Partition, dominance_leq, partition, partitions_of, transpose
+from .partitions import Partition, partition, transpose
 
 DEFAULT_BUDGET = 300_000
 
@@ -105,10 +113,11 @@ class TensorVector:
 def orbit_size(orbit: tuple) -> int:
     """Number of words in an orbit: its blocks arranged over the columns,
     equal-height columns only among themselves."""
-    heights: Counter = Counter()
+    heights: dict = {}
     size = 1
     for block, m in orbit:
-        heights[block.bit_count()] += m
+        h = block.bit_count()
+        heights[h] = heights.get(h, 0) + m
         size *= factorial(m)
     return prod(map(factorial, heights.values())) // size
 
@@ -178,23 +187,41 @@ def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
 def _peel(shape: Partition, content: tuple) -> tuple:
     """The divided powers (r, j, t) of F^(T), t letters j > r in row r, for
     each semistandard tableau T of the given shape and content, unsorted.
-    The largest letter is peeled as a horizontal strip, and a strip is
-    followed only when the rest of the content fits in the inner shape: at
-    most letter-1 rows that dominate it, so every branch ends in a
-    tableau."""
+
+    The largest letter is peeled as a horizontal strip.  The strip empties
+    every row at index letter-1 or more, and the inner shape is built row by
+    row, each row's value from the largest down; a value is dropped, with
+    every smaller one, once the inner shape's partial sum falls below the
+    rest of the content's, so every inner shape dominates the rest and every
+    branch ends in a tableau."""
     letter = len(content)
     if letter == 0:
         return ((),)
+    if len(shape) > letter:
+        return ()
     rest = content[:-1]
+    rows = min(len(shape), letter - 1)  # the rows that keep cells
+    left = content[-1] - (shape[letter - 1] if len(shape) == letter else 0)
+    if left < 0:
+        return ()
     out = []
-    for inner in _horizontal_strip_removals(shape, content[-1]):
-        if len(inner) < letter and dominance_leq(rest, inner) is Dominance.LEQ:
-            moved = tuple(
-                (r + 1, letter, a - b)
-                for r, (a, b) in enumerate(zip(shape, inner + (0,) * len(shape)))
-                if a > b and r + 1 < letter
-            )
-            out.extend(moved + ops for ops in _peel(inner, rest))
+    inner = [0] * rows
+
+    def strip(i: int, left: int, have: int, need: int) -> None:
+        if i == rows:
+            if left == 0:
+                inner_shape = tuple(inner[: rows - inner.count(0)])
+                moved = tuple((r + 1, letter, a - b) for r, (a, b) in enumerate(zip(shape, inner)) if a > b)
+                out.extend(moved + ops for ops in _peel(inner_shape, rest))
+            return
+        a = shape[i]
+        need += rest[i]
+        lo = shape[i + 1] if i + 1 < len(shape) else 0
+        for v in range(a, max(lo, a - left, need - have) - 1, -1):
+            inner[i] = v
+            strip(i + 1, left - a + v, have + v, need)
+
+    strip(0, left, 0, 0)
     return tuple(out)
 
 
@@ -237,6 +264,8 @@ def _gram_rank(rows: list, p: int) -> int:
     d = len(rows)
     if d == 0:
         return 0
+    if d == 1:
+        return int(sum(orbit_size(orbit) * c * c for orbit, c in rows[0].items()) % p != 0)
     index: dict = {}
     for a, row in enumerate(rows):
         for orbit, c in row.items():
@@ -269,6 +298,26 @@ def _gram_rank(rows: list, p: int) -> int:
     return rank
 
 
+def _dominated(lam: Partition, n: int) -> Iterator[Partition]:
+    """The partitions nu of |lam| with at most n parts that lam dominates, in
+    descending lex order (the order of partitions_of).  Each part is at most
+    the previous one and at most lam's partial sum less nu's, and at least
+    what the remaining parts can still hold."""
+    total = sum(lam)
+    bound = list(accumulate(lam)) + [total] * (n - len(lam))
+
+    def gen(i: int, done: int, cap: int) -> Iterator[tuple]:
+        left = total - done
+        if left == 0:
+            yield ()
+            return
+        for v in range(min(cap, bound[i] - done), -(-left // (n - i)) - 1, -1):
+            for tail in gen(i + 1, done + v, v):
+                yield (v,) + tail
+
+    yield from gen(0, 0, total)
+
+
 def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[SymChar, int]:
     """Character of the simple module via Gram ranks of the tableau vectors
     at each dominant weight; also returns the largest weight-space dimension.
@@ -280,9 +329,7 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
     hwv = highest_weight_vector(lam, n, p)
     coeffs = {}
     max_dim = 0
-    for nu in partitions_of(sum(lam), max_len=n):
-        if dominance_leq(nu, lam) is not Dominance.LEQ:
-            continue  # no tableau of shape lam has content nu
+    for nu in _dominated(lam, n):
         held = 0
         ech: dict = {}
         for ops in _tableau_operators(lam, nu + (0,) * (n - len(nu))):
@@ -347,20 +394,37 @@ class SimpleTable:
         self.hits = 0
         self.misses = 0
         self.max_weight_dim = 0
+        self.dims: dict[Partition, int] = {}  # largest weight space of each character computed here
         self.path = None if cache_dir is None else os.path.join(cache_dir, f"simple_p{p}_n{n}.jsonl")
         if self.path is not None and os.path.exists(self.path):
             self.load(self.path)
         self._saved = len(self.cache)
 
     def char(self, lam: Partition) -> SymChar:
+        """The character of L(lam), from the table or else computed.
+
+        A lam with n parts, k = lam_n, has its first k columns full: a full
+        block is never lowered and leaves every orbit size as it is, so the
+        tableau vectors, Gram matrices and ranks of lam are those of
+        lam - k 1^n, every weight shifted by k 1^n.  When this table computed
+        lam - k 1^n, its character is shifted instead of computed again; a
+        loaded one has no recorded dimension and is not used."""
         lam = tuple(lam)
         cached = self.cache.get(lam)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        chi, dim = _simple_char_by_gram(lam, self.p, self.n, self.budget)
+        k = lam[-1] if lam and len(lam) == self.n else 0
+        base = tuple(x - k for x in lam if x > k)
+        if k and base in self.dims:
+            pad = (0,) * self.n
+            shifted = {tuple(x + k for x in mu + pad[len(mu) :]): c for mu, c in self.cache[base].coeffs.items()}
+            chi, dim = SymChar(self.n, sum(lam), shifted), self.dims[base]
+        else:
+            chi, dim = _simple_char_by_gram(lam, self.p, self.n, self.budget)
         self.cache[lam] = chi
+        self.dims[lam] = dim
         self.max_weight_dim = max(self.max_weight_dim, dim)
         return chi
 
@@ -384,9 +448,15 @@ class SimpleTable:
 
     def persist(self) -> None:
         """Save the table to its cache file if it gained characters since it
-        was loaded or last saved (characters are only ever added)."""
+        was loaded or last saved (characters are only ever added).  The
+        records of the file that the table lacks, such as those another table
+        of the same (p, n) saved meanwhile, are added to the table first, so a
+        save keeps every character the file held."""
         if self.path is None or len(self.cache) == self._saved:
             return
+        if os.path.exists(self.path):
+            for lam, chi in self._records(self.path):
+                self.cache.setdefault(lam, chi)
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         self.save(self.path)
         self._saved = len(self.cache)
@@ -423,6 +493,14 @@ class SimpleTable:
         that is not positive, or a key or a weight listed twice, raises
         SchurkitError naming the file and the line."""
         count = 0
+        for lam, chi in self._records(path):
+            self.cache[lam] = chi
+            count += 1
+        return count
+
+    def _records(self, path) -> Iterator[tuple[Partition, SymChar]]:
+        """The checked (lambda, character) records of path, in file order
+        (see load)."""
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -443,9 +521,7 @@ class SimpleTable:
                     chi = SymChar(self.n, sum(lam), coeffs)
                 except (SchurkitError, ValueError, KeyError, TypeError, AttributeError) as exc:
                     raise SchurkitError(f"bad cache record in {path}, line {lineno}: {type(exc).__name__}: {exc}") from exc
-                self.cache[lam] = chi
-                count += 1
-        return count
+                yield lam, chi
 
 
 def decompose_simples(chi: SymChar, table: SimpleTable) -> dict:

@@ -73,9 +73,11 @@ FAST_TIER = {
     "oracle-self": [(2, 2, 10), (3, 3, 9), (5, 2, 8)],
 }
 
+# the fast tier plus the frontier: the configs where degree and n grow
 EXTENDED_TIER = {
-    "thm-2good": FAST_TIER["thm-2good"],
-    "thm-21special": FAST_TIER["thm-21special"],
+    "thm-2good": FAST_TIER["thm-2good"]
+    + [(3, 3, 24), (5, 3, 16), (3, 4, 14), (3, 4, 18), (5, 4, 16), (2, 5, 10), (3, 5, 12), (2, 6, 8)],
+    "thm-21special": FAST_TIER["thm-21special"] + [(7, 3, 39), (3, 5, 25)],
     "1special": FAST_TIER["1special"],
     "combinatorial": FAST_TIER["combinatorial"],
     "oracle-self": FAST_TIER["oracle-self"] + [(2, 3, 12)],

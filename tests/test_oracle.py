@@ -16,11 +16,19 @@ from schurkit.characters import (
     power_char,
     schur_char,
 )
-from schurkit.errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, VariableCountMismatch
+from schurkit.errors import (
+    LengthExceedsN,
+    NegativeResidual,
+    ResourceBudgetExceeded,
+    SchurkitError,
+    VariableCountMismatch,
+)
 from schurkit.characters import SymChar
 from schurkit.oracle import (
+    DEFAULT_BUDGET,
     SimpleTable,
     TensorVector,
+    _dominated,
     _gram_rank,
     _peel,
     _reduce_against,
@@ -279,8 +287,47 @@ def test_tableau_vectors_match_closure():
                 assert _simple_char_by_gram(lam, p, n, 10**6) == _closure_char(lam, p, n), (lam, p, n)
 
 
+def test_dominated_weights_are_the_filtered_partitions():
+    for n in range(1, 6):
+        for lam in partitions_up_to(12, max_len=n):
+            want = [nu for nu in partitions_of(sum(lam), max_len=n) if dominance_leq(nu, lam) is Dominance.LEQ]
+            assert list(_dominated(lam, n)) == want, (lam, n)
+
+
+def test_full_columns_reuse_the_character_without_them(monkeypatch):
+    # a lam with n parts is shifted from lam - lam_n 1^n, which has fewer
+    # parts and a smaller degree, so every full-length lam here is reused
+    gram = oracle._simple_char_by_gram
+    computed = []
+    monkeypatch.setattr(oracle, "_simple_char_by_gram", lambda lam, *args: computed.append(lam) or gram(lam, *args))
+    for p, n in ((2, 3), (3, 3), (2, 4), (3, 4)):
+        tab = SimpleTable(p, n)
+        for lam in partitions_up_to(10, max_len=n):
+            tab.char(lam)
+        full = [lam for lam in tab.cache if len(lam) == n]
+        assert full and not set(full) & set(computed), (p, n)
+        assert len(computed) == len(tab.cache) - len(full) == tab.stats()["cacheMisses"] - len(full)
+        for lam in full:
+            assert (tab.cache[lam], tab.dims[lam]) == gram(lam, p, n, DEFAULT_BUDGET), (lam, p, n)
+        computed.clear()
+
+
+def test_a_loaded_character_is_not_shifted(tmp_path):
+    # a loaded character has no recorded dimension: the Gram path runs and
+    # the largest weight space is reported as it is computed
+    lam, base = (5, 3, 1), (4, 2)
+    with SimpleTable(3, 3, cache_dir=tmp_path) as tab:
+        tab.char(base)
+    fresh = SimpleTable(3, 3, cache_dir=tmp_path)
+    assert list(fresh.cache) == [base] and fresh.dims == {}
+    chi, dim = _simple_char_by_gram(lam, 3, 3, DEFAULT_BUDGET)
+    assert dim == tab.dims[base] > 1
+    assert fresh.char(lam) == chi
+    assert fresh.stats()["maxWeightSpaceDim"] == fresh.dims[lam] == dim
+
+
 def test_tableau_operators_match_unpruned_peel():
-    for n in range(1, 5):
+    for n in range(1, 6):
         for lam in partitions_up_to(8, max_len=n):
             for nu in partitions_of(sum(lam), max_len=n):
                 content = nu + (0,) * (n - len(nu))
@@ -533,6 +580,22 @@ def test_table_block_persists_after_a_budget_trip_and_clears_the_memos(tmp_path)
     assert _peel.cache_info().currsize == 0 and _splits.cache_info().currsize == 0
     assert list(tab.cache) == [(2, 1)]
     assert SimpleTable(2, 3, cache_dir=tmp_path).cache == tab.cache
+
+
+def test_persist_adds_the_records_of_the_file_it_replaces(tmp_path):
+    first = SimpleTable(2, 2, cache_dir=tmp_path)
+    second = SimpleTable(2, 2, cache_dir=tmp_path)
+    first.char((3, 1))
+    first.persist()
+    second.char((4,))
+    second.persist()
+    assert set(second.cache) == {(3, 1), (4,)}
+    assert SimpleTable(2, 2, cache_dir=tmp_path).cache == second.cache
+    # the merged records pass every load check
+    second.char((5,))
+    (tmp_path / "simple_p2_n2.jsonl").write_text('{"lambda":[3,1],"char":{"[3,1]":2}}\n')
+    with pytest.raises(SchurkitError, match=r"simple_p2_n2.jsonl, line 1: .*multiplicity 2"):
+        second.persist()
 
 
 def test_interrupted_save_keeps_previous_file(tmp_path, monkeypatch):

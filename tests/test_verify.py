@@ -94,6 +94,15 @@ def test_run_clears_the_oracle_memos():
     assert _splits.cache_info().currsize == 0
 
 
+def test_a_save_keeps_the_records_another_table_of_its_p_n_saved(tmp_path):
+    # oracle-self (2,2,8) saves its stability table of (2,3); the run's own
+    # table of (2,3), loaded before that, saves again after oracle-self (2,3,3)
+    grid = {"thm-2good": [(2, 3, 2)], "oracle-self": [(2, 2, 8), (2, 3, 3)]}
+    run(grid, cache_dir=tmp_path)
+    assert len((tmp_path / "simple_p2_n3.jsonl").read_text().splitlines()) >= 39
+    assert [rep.oracle_stats["cacheMisses"] for rep in run(grid, cache_dir=tmp_path)] == [0, 0, 0]
+
+
 def test_oracle_stats_count_each_suite_alone():
     table = SimpleTable(2, 2)
     first = suite_1special(2, 2, 6, table)
@@ -123,12 +132,19 @@ def test_fast_tier_configs_present():
     assert {(7, 4, 24), (5, 5, 20)} <= set(FAST_TIER["1special"])
     # S̄^r E vanishes above r = n(p-1) and Λ^c E above c = n, so each
     # finite family is checked whole at its top degree
-    for p, n, rmax in FAST_TIER["1special"]:
-        assert rmax >= n * (p - 1), (p, n, rmax)
-    for p, n, rmax in FAST_TIER["thm-21special"]:
-        assert rmax >= 2 * n * (p - 1) + n, (p, n, rmax)
+    for tier in (FAST_TIER, EXTENDED_TIER):
+        for p, n, rmax in tier["1special"]:
+            assert rmax >= n * (p - 1), (p, n, rmax)
+        for p, n, rmax in tier["thm-21special"]:
+            assert rmax >= 2 * n * (p - 1) + n, (p, n, rmax)
     for configs in list(FAST_TIER.values()) + list(EXTENDED_TIER.values()):
         assert len(configs) == len(set(configs))  # no config is run twice
+    # the extended tier is the fast tier plus the frontier
+    for name, configs in FAST_TIER.items():
+        assert EXTENDED_TIER[name][: len(configs)] == configs, name
+    frontier = {(3, 3, 24), (5, 3, 16), (3, 4, 14), (3, 4, 18), (5, 4, 16), (2, 5, 10), (3, 5, 12), (2, 6, 8)}
+    assert frontier <= set(EXTENDED_TIER["thm-2good"])
+    assert {(7, 3, 39), (3, 5, 25)} <= set(EXTENDED_TIER["thm-21special"])
 
 
 def test_thm_2good_degree_15_within_default_budget():
