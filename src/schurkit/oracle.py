@@ -11,12 +11,13 @@ powers Gamma^{m_c}(Wedge^c E), m_c being the number of columns of height c
 
 Basis.  A word of V is one strictly increasing block of letters per column.
 Permuting equal-height columns splits the words into orbits, and a symmetric
-tensor has one coefficient per orbit, shared by every word in it.  An orbit
-is stored as a tuple of (block, count) pairs sorted by block, a block being
-the bitmask of its letters (bit l-1 for letter l), so its height is its
+tensor has one coefficient per orbit, shared by every word in it.  A block is
+the bitmask t of its letters (bit l-1 for letter l), so its height is its
 popcount.  An orbit holds |O| = prod_c m_c! / prod_t m_t! words, where m_t
-counts its blocks of type t.  v is the single orbit of the blocks 1..c_j,
-with coefficient 1.
+counts its blocks of type t.  It is packed into one integer, the sum over t
+of m_t 2^(w t): a field of w = lam_1.bit_length() bits per block type holds
+m_t.  No count exceeds the lam_1 columns, so no field overflows into the
+next.  v is the single orbit of the blocks 1..c_j, with coefficient 1.
 
 Lowering.  On a word, E_ji^(k) is the sum over the k-sets of blocks that
 hold i and lack j of the word with i replaced by j in those blocks (blocks
@@ -26,8 +27,10 @@ On the orbit sum this moves j_t blocks of each eligible type t to t' (t with
 i replaced by j), for every split k = sum_t j_t.  A word of the target orbit
 arises from prod_t C(m_t' + j_t, j_t) source words, m_t' being the count of
 t' before the move (choose which of its t'-blocks were moved), so that
-product times prod_t sign_t^j_t, mod p, is the coefficient.  All arithmetic
-stays in F_p.
+product times prod_t sign_t^j_t, mod p, is the coefficient.  The target
+orbit is the source plus sum_t j_t (2^(w t') - 2^(w t)); the counts are read
+with a shift and a mask, and the eligible types of a move i -> j depend only
+on (n, i, j, w).  All arithmetic stays in F_p.
 
 Correctness.  Let M be the span of all divided-power lowering monomials
 applied to v.  Declaring the words orthonormal gives a bilinear form for
@@ -54,9 +57,13 @@ dominates are generated, since no other nu has a tableau.  The tableaux are
 peeled as horizontal strips, largest letter first.  A strip's inner shape is
 built row by row and cut short as soon as it stops dominating the rest of the
 content, so every branch ends in a tableau; the peel of each (shape, content)
-is memoised.  The vectors are row-reduced to an echelon basis, and the Gram
-rank of that basis is the multiplicity of nu.  The Gram matrix is summed
-orbit by orbit over the rows that hold each orbit.
+is memoised.  The operators of a tableau act bottom row first, and the
+tableaux of lam share many leading operators, also across weights: the
+vectors of every proper prefix are kept in a trie, op -> (vector, subtrie),
+for all of lam's weights, and each operator prefix is lowered once.  The
+vectors are row-reduced to an echelon basis, each row led by its smallest
+orbit, and the Gram rank of that basis is the multiplicity of nu.  The Gram matrix is summed orbit by orbit over
+the rows that hold each orbit.
 
 Full columns.  When lam has n parts, its first k = lam_n columns hold the
 full block 1..n in every word.  A full block holds every letter, so no
@@ -67,7 +74,8 @@ k 1^n, and a table that computed lam - k 1^n shifts its character.
 
 Budget.  A table's budget caps what one dominant weight holds: the orbit
 terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
-the echelon size.  It is checked before the Gram matrix is built.
+the echelon size.  It is checked before the Gram matrix is built.  The
+prefix vectors that the trie keeps are not counted.
 """
 
 from __future__ import annotations
@@ -99,9 +107,9 @@ class TensorVector:
     """Sparse symmetric tensor in a product of exterior powers of the natural
     module, in the column-orbit basis.
 
-    entries maps orbits (tuples of (block bitmask, count) pairs sorted by
-    block) to nonzero residues mod p; each is the coefficient of every word
-    in the orbit.
+    entries maps orbits (packed integers, the sum over block bitmasks t of
+    m_t 2^(w t), w the width) to nonzero residues mod p; each is the
+    coefficient of every word in the orbit.
     """
 
     n: int
@@ -109,14 +117,23 @@ class TensorVector:
     cols: tuple  # column heights, weakly decreasing
     entries: dict
 
+    @property
+    def width(self) -> int:
+        """Bits per count of a packed orbit: no count exceeds len(cols)."""
+        return len(self.cols).bit_length()
 
-def orbit_size(orbit: tuple) -> int:
-    """Number of words in an orbit: its blocks arranged over the columns,
-    equal-height columns only among themselves."""
+
+def orbit_size(orbit: int, w: int) -> int:
+    """Number of words in a packed orbit of field width w: its blocks
+    arranged over the columns, equal-height columns only among themselves."""
+    mask = (1 << w) - 1
     heights: dict = {}
     size = 1
-    for block, m in orbit:
-        h = block.bit_count()
+    while orbit:
+        t = ((orbit & -orbit).bit_length() - 1) // w  # the lowest nonzero field
+        m = orbit >> w * t & mask
+        orbit -= m << w * t
+        h = t.bit_count()
         heights[h] = heights.get(h, 0) + m
         size *= factorial(m)
     return prod(map(factorial, heights.values())) // size
@@ -126,9 +143,24 @@ def highest_weight_vector(lam: Partition, n: int, p: int) -> TensorVector:
     """Product over columns of the wedge of the first column-height letters."""
     if len(lam) > n:
         raise LengthExceedsN(f"{lam} needs more than {n} letters")
-    cols = transpose(lam)
-    blocks = Counter((1 << c) - 1 for c in cols)
-    return TensorVector(n, p, cols, {tuple(sorted(blocks.items())): 1})
+    v = TensorVector(n, p, transpose(lam), {})
+    v.entries[sum(1 << v.width * ((1 << c) - 1) for c in v.cols)] = 1
+    return v
+
+
+@lru_cache(maxsize=None)
+def _moves(n: int, i: int, j: int, w: int) -> tuple:
+    """The block types t over the letters 1..n that E_ji moves (t holds i and
+    lacks j), each as (shift of m_t, shift of m_t', odd_t, the change
+    2^(w t') - 2^(w t) of the packed orbit when one t-block becomes t')."""
+    lo, hi = 1 << (i - 1), 1 << (j - 1)
+    step = lo | hi  # xor swaps letter i for j in an eligible block
+    between = hi - (lo << 1)  # the letters strictly between i and j
+    return tuple(
+        (w * t, w * (t ^ step), (t & between).bit_count() & 1, (1 << w * (t ^ step)) - (1 << w * t))
+        for t in range(1, 1 << n)
+        if t & step == lo
+    )
 
 
 @lru_cache(maxsize=None)
@@ -153,25 +185,23 @@ def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
     """Divided power E_ji^(k) of the root operator taking letter i to j > i."""
     if not 1 <= i < j <= v.n:
         raise ValueError(f"lowering {i} -> {j} outside 1..{v.n}")
-    lo, hi = 1 << (i - 1), 1 << (j - 1)
-    step = lo | hi  # xor swaps letter i for j in an eligible block
-    between = hi - (lo << 1)  # the letters strictly between i and j
+    w = v.width
+    mask = (1 << w) - 1
+    table = _moves(v.n, i, j, w)
     p = v.p
     out: dict = {}
     for orbit, coeff in v.entries.items():
-        counts = dict(orbit)
-        eligible = [t for t, _ in orbit if t & step == lo]
-        moves = tuple((counts[t], counts.get(t ^ step, 0), (t & between).bit_count() & 1) for t in eligible)
-        for js, c in _splits(moves, k, p):
-            new = dict(counts)
-            for t, (m, m_to, _), jt in zip(eligible, moves, js):
-                if jt:
-                    if jt == m:
-                        del new[t]
-                    else:
-                        new[t] = m - jt
-                    new[t ^ step] = m_to + jt
-            key = tuple(sorted(new.items()))
+        moves = []
+        deltas = []
+        for at, to, odd, delta in table:
+            m = orbit >> at & mask
+            if m:
+                moves.append((m, orbit >> to & mask, odd))
+                deltas.append(delta)
+        for js, c in _splits(tuple(moves), k, p):
+            key = orbit
+            for jt, delta in zip(js, deltas):
+                key += jt * delta
             x = (out.get(key, 0) + coeff * c) % p
             if x:
                 out[key] = x
@@ -236,9 +266,14 @@ def _tableau_operators(lam: Partition, nu: tuple):
 
 def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
     """Row-reduce vec against the echelon rows; return the normalized new row
-    (also installed into ech) or None when vec lies in the span."""
+    (also installed into ech) or None when vec lies in the span.
+
+    A row's lead is its smallest packed orbit.  Any lead gives the same span
+    and Gram rank, but the choice sets how much a reduction fills in: for
+    thm-2good at (p, n, rmax) = (2, 6, 12) the reductions take about a
+    tenth of the time they take with the largest orbit as lead."""
     while vec:
-        lead = max(vec)
+        lead = min(vec)
         row = ech.get(lead)
         if row is None:
             inv = pow(vec[lead], -1, p)
@@ -256,8 +291,9 @@ def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
     return None
 
 
-def _gram_rank(rows: list, p: int) -> int:
-    """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of orbit rows.
+def _gram_rank(rows: list, p: int, w: int) -> int:
+    """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of rows of packed
+    orbits of field width w.
 
     The matrix is built from an orbit index: each orbit adds |O| a b to the
     entries of every pair of rows that hold it, with coefficients a and b."""
@@ -265,14 +301,14 @@ def _gram_rank(rows: list, p: int) -> int:
     if d == 0:
         return 0
     if d == 1:
-        return int(sum(orbit_size(orbit) * c * c for orbit, c in rows[0].items()) % p != 0)
+        return int(sum(orbit_size(orbit, w) * c * c for orbit, c in rows[0].items()) % p != 0)
     index: dict = {}
     for a, row in enumerate(rows):
         for orbit, c in row.items():
             index.setdefault(orbit, []).append((a, c))
     g = [[0] * d for _ in range(d)]
     for orbit, holders in index.items():
-        size = orbit_size(orbit) % p
+        size = orbit_size(orbit, w) % p
         if size:
             for a, x in holders:
                 line, sx = g[a], size * x
@@ -321,21 +357,30 @@ def _dominated(lam: Partition, n: int) -> Iterator[Partition]:
 def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[SymChar, int]:
     """Character of the simple module via Gram ranks of the tableau vectors
     at each dominant weight; also returns the largest weight-space dimension.
+    The vectors of the proper operator prefixes are shared by all of lam's
+    weights; the last operator of each tableau is applied unstored.
 
     Raises ResourceBudgetExceeded when the orbit terms of one weight's
     vectors plus its Gram entries pass budget, before the Gram matrix is
     built.
     """
     hwv = highest_weight_vector(lam, n, p)
+    w = hwv.width
+    trie: dict = {}  # op -> (the vector after the prefix ending in op, subtrie)
     coeffs = {}
     max_dim = 0
     for nu in _dominated(lam, n):
         held = 0
         ech: dict = {}
-        for ops in _tableau_operators(lam, nu + (0,) * (n - len(nu))):
-            vec = hwv
-            for r, j, t in ops:
-                vec = apply_lowering(vec, r, j, t)
+        for ops in _tableau_operators(lam, nu):
+            vec, node = hwv, trie
+            for op in ops[:-1]:
+                hit = node.get(op)
+                if hit is None:
+                    hit = node[op] = (apply_lowering(vec, *op), {})
+                vec, node = hit
+            if ops:
+                vec = apply_lowering(vec, *ops[-1])
             held += len(vec.entries)
             if held > budget:
                 break
@@ -346,7 +391,7 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
                 f"weight {list(nu)} of L{list(lam)} needs more than {budget} orbit terms and Gram entries"
             )
         max_dim = max(max_dim, d)
-        rank = _gram_rank(list(ech.values()), p)
+        rank = _gram_rank(list(ech.values()), p, w)
         if rank:
             coeffs[nu] = rank
     return SymChar(n, sum(lam), coeffs), max_dim
@@ -382,7 +427,8 @@ class SimpleTable:
     that directory when it exists, and persist() writes the table back there.
     Used as a context manager, the table persists when the block ends, also
     after an exception such as a budget trip, and the module memos of the
-    tableau peel and the block splits are cleared.
+    tableau peel, the eligible block types and the block splits are
+    cleared.
     """
 
     def __init__(self, p: int, n: int, budget: int = DEFAULT_BUDGET, cache_dir: str | os.PathLike | None = None):
@@ -433,6 +479,7 @@ class SimpleTable:
 
     def __exit__(self, *exc) -> None:
         _peel.cache_clear()
+        _moves.cache_clear()
         _splits.cache_clear()
         self.persist()
 
@@ -560,8 +607,9 @@ def factor_dimensions_check(factors: dict, chi: SymChar, table: SimpleTable) -> 
 
 
 def product_char(spec: Iterable[tuple], p: int, n: int) -> SymChar:
-    """Character of a product of symmetric / truncated / exterior powers."""
-    chi = SymChar(n, 0, {(): 1})
+    """Character of a product of symmetric / truncated / exterior powers;
+    the empty product is the unit character."""
+    chi = None
     for kind, r in spec:
         if kind == S:
             atom = power_char("complete", r, n)
@@ -571,8 +619,8 @@ def product_char(spec: Iterable[tuple], p: int, n: int) -> SymChar:
             atom = power_char("exterior", r, n)
         else:
             raise ValueError(f"unknown factor kind {kind!r}")
-        chi = chi * atom
-    return chi
+        chi = atom if chi is None else chi * atom
+    return SymChar(n, 0, {(): 1}) if chi is None else chi
 
 
 def composition_factors(spec: Iterable[tuple], table: SimpleTable) -> dict:

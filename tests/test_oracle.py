@@ -2,8 +2,9 @@ import json
 import random
 import sys
 import types
+from collections import Counter
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
@@ -30,6 +31,7 @@ from schurkit.oracle import (
     TensorVector,
     _dominated,
     _gram_rank,
+    _moves,
     _peel,
     _reduce_against,
     _simple_char_by_gram,
@@ -56,13 +58,50 @@ from schurkit.partitions import (
 )
 
 
-def _orbit(*blocks):
-    """Orbit key of the given blocks, each a tuple of letters."""
-    counts = {}
-    for block in blocks:
-        mask = sum(1 << (letter - 1) for letter in block)
-        counts[mask] = counts.get(mask, 0) + 1
-    return tuple(sorted(counts.items()))
+def _encode(counts, w):
+    """Packed orbit of {block bitmask: count}: the count of block t in bits
+    w*t to w*t + w - 1."""
+    key = 0
+    for t, m in counts.items():
+        assert 0 < m < 1 << w
+        key |= m << w * t
+    return key
+
+
+def _decode(orbit, w):
+    """{block bitmask: count} of a packed orbit, read one w-bit field at a time."""
+    if not orbit:
+        return {}
+    bits = bin(orbit)[2:][::-1]
+    fields = (int(bits[a : a + w][::-1], 2) for a in range(0, len(bits), w))
+    return {t: m for t, m in enumerate(fields) if m}
+
+
+def _width(cols):
+    """Field width of the orbits of a vector with these columns."""
+    return len(cols).bit_length()
+
+
+def _orbit(w, *blocks):
+    """Packed orbit, in fields of w bits, of the given blocks, each a tuple of
+    letters."""
+    return _encode(Counter(sum(1 << (letter - 1) for letter in block) for block in blocks), w)
+
+
+def _tuples(v):
+    """The entries of v with each orbit a tuple of (block, count) pairs
+    sorted by block."""
+    w = _width(v.cols)
+    return {tuple(sorted(_decode(orbit, w).items())): c for orbit, c in v.entries.items()}
+
+
+def _orbit_size(orbit, w):
+    """Words in a packed orbit: prod_h (blocks of height h)! / prod_t m_t!."""
+    counts = _decode(orbit, w)
+    heights = Counter()
+    for t, m in counts.items():
+        heights[t.bit_count()] += m
+    return prod(map(factorial, heights.values())) // prod(map(factorial, counts.values()))
 
 
 def _words(v):
@@ -70,9 +109,10 @@ def _words(v):
     over columns of their own height carries the orbit's coefficient."""
     out = {}
     for orbit, c in v.entries.items():
+        counts = _decode(orbit, _width(v.cols))
         groups = []
         for h in sorted(set(v.cols), reverse=True):
-            blocks = [b for b, m in orbit for _ in range(m) if b.bit_count() == h]
+            blocks = [b for b, m in counts.items() for _ in range(m) if b.bit_count() == h]
             groups.append(set(permutations(blocks)))
         for arrangement in product(*groups):
             word = tuple(l for group in arrangement for b in group for l in range(1, v.n + 1) if b >> (l - 1) & 1)
@@ -117,10 +157,10 @@ def _rank_mod_p(g, p):
     return rank
 
 
-def _dense_gram_rank(rows, p):
+def _dense_gram_rank(rows, p, w):
     """Reference Gram rank: one dict dot product <a, b> = sum_O |O| a_O b_O
-    per pair of orbit rows."""
-    g = [[sum(orbit_size(o) * c * b.get(o, 0) for o, c in a.items()) % p for b in rows] for a in rows]
+    per pair of rows of packed orbits of field width w."""
+    g = [[sum(_orbit_size(o, w) * c * b.get(o, 0) for o, c in a.items()) % p for b in rows] for a in rows]
     return _rank_mod_p(g, p)
 
 
@@ -160,6 +200,50 @@ def _reference_splits(moves, k, p):
                 yield (j,) + js, c * d % p
 
 
+def _tuple_lowering(entries, n, i, j, k, p):
+    """Reference E_ji^(k) on orbits kept as tuples of (block, count) pairs
+    sorted by block: the counts are copied into a dict for each split and
+    the target orbit is sorted back into a tuple."""
+    lo, hi = 1 << (i - 1), 1 << (j - 1)
+    step, between = lo | hi, hi - (lo << 1)
+    out = {}
+    for orbit, coeff in entries.items():
+        counts = dict(orbit)
+        eligible = [t for t, _ in orbit if t & step == lo]
+        moves = tuple((counts[t], counts.get(t ^ step, 0), (t & between).bit_count() & 1) for t in eligible)
+        for js, c in _reference_splits(moves, k, p):
+            new = dict(counts)
+            for t, (m, m_to, _), jt in zip(eligible, moves, js):
+                if jt:
+                    if jt == m:
+                        del new[t]
+                    else:
+                        new[t] = m - jt
+                    new[t ^ step] = m_to + jt
+            key = tuple(sorted(new.items()))
+            out[key] = (out.get(key, 0) + coeff * c) % p
+    return {o: c for o, c in out.items() if c}
+
+
+def _unshared_char(lam, p, n):
+    """Reference oracle without prefix sharing: every tableau vector is
+    lowered from the highest weight vector on its own."""
+    hwv = highest_weight_vector(lam, n, p)
+    coeffs, max_dim = {}, 0
+    for nu in _dominated(lam, n):
+        ech = {}
+        for ops in _tableau_operators(lam, nu):
+            vec = hwv
+            for op in ops:
+                vec = apply_lowering(vec, *op)
+            _reduce_against(ech, dict(vec.entries), p)
+        max_dim = max(max_dim, len(ech))
+        rank = _gram_rank(list(ech.values()), p, _width(hwv.cols))
+        if rank:
+            coeffs[nu] = rank
+    return SymChar(n, sum(lam), coeffs), max_dim
+
+
 def _closure_char(lam, p, n):
     """Reference oracle: the closure of the highest weight vector under every
     F_i^(k) = E_{i+1,i}^(k), weight by weight, each weight space capped at
@@ -183,25 +267,26 @@ def _closure_char(lam, p, n):
                         queue.append((tw, new))
     coeffs = {}
     for w, ech in echelons.items():
-        rank = _dense_gram_rank(list(ech.values()), p)
+        rank = _dense_gram_rank(list(ech.values()), p, _width(hwv.cols))
         if rank and list(w) == sorted(w, reverse=True):
             coeffs[partition(w)] = rank
     return SymChar(n, sum(lam), coeffs), max(map(len, echelons.values()))
 
 
 def test_highest_weight_vector_single_row():
+    # two columns: fields of two bits, the count 2 of block [1] in bits 2-3
     v = highest_weight_vector((2,), 2, 2)
-    assert v.entries == {_orbit((1,), (1,)): 1}
+    assert v.entries == {_orbit(2, (1,), (1,)): 1} == {0b1000: 1}
     assert _words(v) == {(1, 1): 1}
 
 
 def test_highest_weight_vector_column_blocks():
     # one column of height 2 is a single wedge basis element of norm one
     v = highest_weight_vector((1, 1), 2, 2)
-    assert v.entries == {_orbit((1, 2)): 1}
+    assert v.entries == {_orbit(1, (1, 2)): 1}
     # columns (2),(1): blocks [1,2] and [1]
     v = highest_weight_vector((2, 1), 2, 2)
-    assert v.entries == {_orbit((1, 2), (1,)): 1}
+    assert v.entries == {_orbit(2, (1, 2), (1,)): 1}
     assert _words(v) == {(1, 2, 1): 1}
     with pytest.raises(LengthExceedsN):
         highest_weight_vector((1, 1, 1), 2, 2)
@@ -210,10 +295,10 @@ def test_highest_weight_vector_column_blocks():
 def test_apply_lowering_examples():
     v = highest_weight_vector((2,), 2, p=5)
     # the orbit {[1],[2]} stands for the words (2,1) and (1,2)
-    assert apply_lowering(v, 1, 2, 1).entries == {_orbit((1,), (2,)): 1}
-    assert apply_lowering(v, 1, 2, 2).entries == {_orbit((2,), (2,)): 1}
+    assert apply_lowering(v, 1, 2, 1).entries == {_orbit(2, (1,), (2,)): 1}
+    assert apply_lowering(v, 1, 2, 2).entries == {_orbit(2, (2,), (2,)): 1}
     # F^2 = 2 F^(2): [2] is made from either of the two blocks of the target
-    assert apply_lowering(apply_lowering(v, 1, 2, 1), 1, 2, 1).entries == {_orbit((2,), (2,)): 2}
+    assert apply_lowering(apply_lowering(v, 1, 2, 1), 1, 2, 1).entries == {_orbit(2, (2,), (2,)): 2}
     w = apply_lowering(v, 1, 2, 2)
     assert apply_lowering(w, 1, 2, 1).entries == {}  # no letter 1 left
 
@@ -222,9 +307,9 @@ def test_apply_lowering_kills_occupied_block():
     # within a single wedge block the letter can only move if j is absent
     v = highest_weight_vector((1, 1), 3, p=5)  # block [1,2]
     assert apply_lowering(v, 1, 2, 1).entries == {}
-    assert apply_lowering(v, 2, 3, 1).entries == {_orbit((1, 3)): 1}
+    assert apply_lowering(v, 2, 3, 1).entries == {_orbit(1, (1, 3)): 1}
     # 1 -> 3 passes letter 2: e_3 ^ e_2 = -e_2 ^ e_3
-    assert apply_lowering(v, 1, 3, 1).entries == {_orbit((2, 3)): 4}
+    assert apply_lowering(v, 1, 3, 1).entries == {_orbit(1, (2, 3)): 4}
     for i, j in ((3, 4), (2, 2), (2, 1)):
         with pytest.raises(ValueError):
             apply_lowering(v, i, j, 1)
@@ -244,7 +329,22 @@ def test_apply_lowering_matches_word_reference():
                         img = apply_lowering(v, *op)
                         expect = _lower_words(words, hwv.cols, *op, p)
                         assert _words(img) == expect, (lam, p, op, v.entries)
-                        assert sum(orbit_size(o) for o in img.entries) == len(expect)
+                        assert sum(orbit_size(o, _width(hwv.cols)) for o in img.entries) == len(expect)
+
+
+def test_packed_lowering_matches_tuple_kernel():
+    # every step of every tableau vector, against the tuple-keyed kernel; up
+    # to nine columns, so fields of four bits hold counts up to 9
+    for p in (2, 3, 5):
+        for n, deg in ((2, 9), (3, 9), (4, 8), (5, 7)):
+            for lam in partitions_up_to(deg, max_len=n):
+                hwv = highest_weight_vector(lam, n, p)
+                for nu in _dominated(lam, n):
+                    for ops in _tableau_operators(lam, nu):
+                        vec, ref = hwv, _tuples(hwv)
+                        for op in ops:
+                            vec, ref = apply_lowering(vec, *op), _tuple_lowering(ref, n, *op, p)
+                            assert _tuples(vec) == ref, (lam, p, n, op)
 
 
 def test_simple_char_one_variable():
@@ -285,6 +385,13 @@ def test_tableau_vectors_match_closure():
         for n, deg in ((2, 8), (3, 8), (4, 7)):
             for lam in partitions_up_to(deg, max_len=n):
                 assert _simple_char_by_gram(lam, p, n, 10**6) == _closure_char(lam, p, n), (lam, p, n)
+
+
+def test_shared_prefixes_match_unshared_reference():
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for lam in partitions_up_to(10, max_len=n):
+                assert _simple_char_by_gram(lam, p, n, 10**6) == _unshared_char(lam, p, n), (lam, p, n)
 
 
 def test_dominated_weights_are_the_filtered_partitions():
@@ -331,6 +438,7 @@ def test_tableau_operators_match_unpruned_peel():
         for lam in partitions_up_to(8, max_len=n):
             for nu in partitions_of(sum(lam), max_len=n):
                 content = nu + (0,) * (n - len(nu))
+                assert list(_tableau_operators(lam, nu)) == list(_tableau_operators(lam, content)), (lam, nu, n)
                 got = sorted(map(tuple, _tableau_operators(lam, content)))
                 assert got == sorted(map(tuple, _unpruned_tableau_operators(lam, content))), (lam, nu, n)
                 assert len(got) == kostka(lam, nu), (lam, nu, n)
@@ -348,9 +456,10 @@ def test_splits_match_reference_generator():
 
 
 def test_gram_rank_matches_dense_reference():
-    # orbits over the letters 1..3 whose sizes are 1, 2, 3 and 6
+    # orbits over the letters 1..3 whose sizes are 1, 2, 3 and 6, packed in
+    # fields of two bits (at most three blocks)
     pool = [
-        _orbit(*blocks)
+        _orbit(2, *blocks)
         for blocks in (
             ((1,), (1,)),
             ((1,), (2,)),
@@ -373,8 +482,8 @@ def test_gram_rank_matches_dense_reference():
             a, b = rng.choice(rows), rng.choice(rows)
             row = {o: (a.get(o, 0) + 2 * b.get(o, 0)) % p for o in set(a) | set(b)}
             rows.append({o: c for o, c in row.items() if c})
-        assert _gram_rank(rows, p) == _dense_gram_rank(rows, p), (rows, p)
-    assert _gram_rank([], 3) == 0
+        assert _gram_rank(rows, p, 2) == _dense_gram_rank(rows, p, 2), (rows, p)
+    assert _gram_rank([], 3, 2) == 0
 
 
 def test_module_memos_clear_to_cold():
@@ -397,15 +506,22 @@ def test_module_memos_clear_to_cold():
         for name, value in vars(mod).items()
         if callable(getattr(value, "cache_clear", None))
     }
-    assert memos == {("schurkit.oracle", "_peel"), ("schurkit.oracle", "_splits"), ("schurkit.characters", "kostka")}
+    assert memos == {
+        ("schurkit.oracle", "_peel"),
+        ("schurkit.oracle", "_moves"),
+        ("schurkit.oracle", "_splits"),
+        ("schurkit.characters", "kostka"),
+    }
     SimpleTable(2, 3).char((3, 2, 1))
     assert _peel.cache_info().currsize > 0 and _splits.cache_info().currsize > 0
+    assert _moves.cache_info().currsize > 0
     for name, mod in list(sys.modules.items()):
         if name.startswith("schurkit."):
             for value in vars(mod).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
     assert _peel.cache_info().currsize == 0
+    assert _moves.cache_info().currsize == 0
     assert _splits.cache_info().currsize == 0
 
 
@@ -459,6 +575,36 @@ def test_block_gate():
         for mu in partitions_up_to(8, max_len=3):
             for lam in decompose_simples(schur_char(mu, 3), tab):
                 assert p_core(lam, p) == p_core(mu, p), (mu, lam)
+
+
+def test_product_char_starts_from_its_first_atom(monkeypatch):
+    # the old fold started from the unit character: one more multiplication
+    atoms = {
+        "S": lambda r, p, n: power_char("complete", r, n),
+        "Sbar": lambda r, p, n: power_char("truncated", r, n, p=p),
+        "Wedge": lambda r, p, n: power_char("exterior", r, n),
+    }
+
+    def fold(spec, p, n):
+        chi = SymChar(n, 0, {(): 1})
+        for kind, r in spec:
+            chi = chi * atoms[kind](r, p, n)
+        return chi
+
+    rng = random.Random(7)
+    for _ in range(400):
+        p, n = rng.choice((2, 3, 5)), rng.randint(1, 4)
+        spec = [(rng.choice(tuple(atoms)), rng.randint(0, n + 2)) for _ in range(rng.randint(0, 3))]
+        assert product_char(spec, p, n) == fold(spec, p, n), (spec, p, n)
+    assert product_char([], 3, 2) == SymChar(2, 0, {(): 1})
+    assert product_char([("Wedge", 3)], 3, 2) == SymChar(2, 3, {})  # r > n: zero
+    mul = SymChar.__mul__
+    calls = []
+    monkeypatch.setattr(SymChar, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for spec in ([], [("S", 2)], [("S", 2), ("Sbar", 3)], [("S", 2), ("Wedge", 5), ("Sbar", 1)]):
+        calls.clear()
+        product_char(spec, 3, 3)
+        assert len(calls) == max(len(spec) - 1, 0), spec
 
 
 def test_composition_factors_examples():
@@ -578,6 +724,7 @@ def test_table_block_persists_after_a_budget_trip_and_clears_the_memos(tmp_path)
             tab.char((2, 1))  # needs 8
             tab.char((4, 2))  # needs 18
     assert _peel.cache_info().currsize == 0 and _splits.cache_info().currsize == 0
+    assert _moves.cache_info().currsize == 0
     assert list(tab.cache) == [(2, 1)]
     assert SimpleTable(2, 3, cache_dir=tmp_path).cache == tab.cache
 
