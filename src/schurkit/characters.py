@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, dropwhile
-from math import comb, factorial
+from math import factorial
 from operator import add
 from typing import Iterator
 
@@ -52,6 +52,17 @@ def _orbit(lam: Partition, n: int) -> list:
                 grown.append((placed, tuple(i for i in free if i not in chosen)))
         weights = grown
     return [tuple(w) for w, _ in weights]
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(lam: tuple, n: int) -> int:
+    """Number of distinct rearrangements of lam padded with zeros to n parts;
+    memoised, as products and dim() ask for the same weights again."""
+    padded = lam + (0,) * (n - len(lam))
+    size = factorial(n)
+    for v in set(padded):
+        size //= factorial(padded.count(v))
+    return size
 
 
 class SymChar:
@@ -88,16 +99,9 @@ class SymChar:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def orbit_size(self, lam: Partition) -> int:
-        padded = lam + (0,) * (self.n - len(lam))
-        size = factorial(self.n)
-        for v in set(padded):
-            size //= factorial(padded.count(v))
-        return size
-
     def dim(self) -> int:
         """Evaluation at all-ones: total weight multiplicity."""
-        return sum(c * self.orbit_size(lam) for lam, c in self.coeffs.items())
+        return sum(c * _orbit_size(lam, self.n) for lam, c in self.coeffs.items())
 
     def __add__(self, other: "SymChar") -> "SymChar":
         self._check_compatible(other)
@@ -140,10 +144,10 @@ class SymChar:
             return SymChar(n, deg, {})
 
         def pairs(expanded: SymChar, keyed: SymChar) -> int:
-            return sum(map(expanded.orbit_size, expanded.coeffs)) * len(keyed.coeffs)
+            return sum(_orbit_size(lam, n) for lam in expanded.coeffs) * len(keyed.coeffs)
 
         expanded, keyed = (other, self) if pairs(other, self) < pairs(self, other) else (self, other)
-        keys = [(mu + (0,) * (n - len(mu)), c * keyed.orbit_size(mu)) for mu, c in keyed.coeffs.items()]
+        keys = [(mu + (0,) * (n - len(mu)), c * _orbit_size(mu, n)) for mu, c in keyed.coeffs.items()]
         counts: dict[tuple, int] = {}
         for lam, c in expanded.coeffs.items():
             scaled = [(mu, c * cm) for mu, cm in keys]
@@ -153,15 +157,11 @@ class SymChar:
                     counts[nu] = counts.get(nu, 0) + cm
         out = {}
         for nu, total in counts.items():
-            coeff, rem = divmod(total, self.orbit_size(nu))
+            coeff, rem = divmod(total, _orbit_size(nu, n))
             if rem:
                 raise ArithmeticError(f"count {total} of {nu} is not a multiple of its orbit size")
             out[nu[: n - nu.count(0)]] = coeff
         return SymChar(n, deg, out)
-
-
-def zero_char(n: int, degree: int = 0) -> SymChar:
-    return SymChar(n, degree, {})
 
 
 @lru_cache(maxsize=None)
@@ -307,10 +307,6 @@ def frobenius_twist(chi: SymChar, p: int) -> SymChar:
     return SymChar(
         chi.n, chi.degree * p, {tuple(p * x for x in lam): c for lam, c in chi.coeffs.items()}
     )
-
-
-def dim_complete(r: int, n: int) -> int:
-    return comb(n + r - 1, r)
 
 
 # --- expression parsing for the command line ----------------------------------

@@ -13,11 +13,14 @@ Basis.  A word of V is one strictly increasing block of letters per column.
 Permuting equal-height columns splits the words into orbits, and a symmetric
 tensor has one coefficient per orbit, shared by every word in it.  A block is
 the bitmask t of its letters (bit l-1 for letter l), so its height is its
-popcount.  An orbit holds |O| = prod_c m_c! / prod_t m_t! words, where m_t
-counts its blocks of type t.  It is packed into one integer, the sum over t
-of m_t 2^(w t): a field of w = lam_1.bit_length() bits per block type holds
-m_t.  No count exceeds the lam_1 columns, so no field overflows into the
-next.  v is the single orbit of the blocks 1..c_j, with coefficient 1.
+popcount.  An orbit holds |O| = prod_c m_c! / prod_t m_t! words, where m_c
+counts the columns of height c and m_t the orbit's blocks of type t.  Every
+orbit of lam has the same column heights, so the numerator prod_c m_c! is
+one number per lam, and only prod_t m_t! is read from the orbit.  An orbit
+is packed into one integer, the sum over t of m_t 2^(w t): a field of
+w = lam_1.bit_length() bits per block type holds m_t.  No count exceeds the
+lam_1 columns, so no field overflows into the next.  v is the single orbit
+of the blocks 1..c_j, with coefficient 1.
 
 Lowering.  On a word, E_ji^(k) is the sum over the k-sets of blocks that
 hold i and lack j of the word with i replaced by j in those blocks (blocks
@@ -27,10 +30,11 @@ On the orbit sum this moves j_t blocks of each eligible type t to t' (t with
 i replaced by j), for every split k = sum_t j_t.  A word of the target orbit
 arises from prod_t C(m_t' + j_t, j_t) source words, m_t' being the count of
 t' before the move (choose which of its t'-blocks were moved), so that
-product times prod_t sign_t^j_t, mod p, is the coefficient.  The target
-orbit is the source plus sum_t j_t (2^(w t') - 2^(w t)); the counts are read
-with a shift and a mask, and the eligible types of a move i -> j depend only
-on (n, i, j, w).  All arithmetic stays in F_p.
+product times prod_t sign_t^j_t, mod p, is the coefficient; for k = 1 it is
+sign_t (m_t' + 1).  The target orbit is the source plus
+sum_t j_t (2^(w t') - 2^(w t)); the counts are read with a shift and a mask,
+and the eligible types of a move i -> j depend only on (n, i, j, w).  All
+arithmetic stays in F_p.
 
 Correctness.  Let M be the span of all divided-power lowering monomials
 applied to v.  Declaring the words orthonormal gives a bilinear form for
@@ -72,10 +76,23 @@ adds the same factorial above and below |O|.  The vectors, Gram matrices and
 ranks of lam are therefore those of lam - k 1^n with every weight shifted by
 k 1^n, and a table that computed lam - k 1^n shifts its character.
 
+Duality.  The dual of L(lam), twisted by det^lam_1, is the simple module
+L(lam_1 - lam_n, ..., lam_1 - lam_1) (J. C. Jantzen, Representations of
+Algebraic Groups, II.2.13; Green, LNM 830): its weights are the
+lam_1 1^n - nu over the weights nu of L(lam), with the same multiplicities.
+So a table that computed lam* = (lam_1 - lam_n, ..., lam_1 - lam_2), zeros
+dropped, maps each weight nu of lam* to (lam_1 - nu_n, ..., lam_1 - nu_1)
+instead of computing lam.  The largest weight space is taken from lam* too.
+The ranks never need it, but M is in fact the Weyl module: its standard
+basis stays free over every field (K. Akin, D. A. Buchsbaum and J. Weyman,
+Adv. Math. 44 (1982)), so dim M_nu is the Kostka number K_{lam nu}, and
+K_{lam nu} = K_{lam* nu*}.
+
 Budget.  A table's budget caps what one dominant weight holds: the orbit
 terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
 the echelon size.  It is checked before the Gram matrix is built.  The
-prefix vectors that the trie keeps are not counted.
+prefix vectors that the trie keeps are not counted, and a character shifted
+or mapped from its dual builds no vectors.
 """
 
 from __future__ import annotations
@@ -102,7 +119,7 @@ WEDGE = "Wedge"
 FAMILIES = ("SS", "SbarSbar", "SbarSbarWedge", "Sbar", "S")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TensorVector:
     """Sparse symmetric tensor in a product of exterior powers of the natural
     module, in the column-orbit basis.
@@ -121,22 +138,6 @@ class TensorVector:
     def width(self) -> int:
         """Bits per count of a packed orbit: no count exceeds len(cols)."""
         return len(self.cols).bit_length()
-
-
-def orbit_size(orbit: int, w: int) -> int:
-    """Number of words in a packed orbit of field width w: its blocks
-    arranged over the columns, equal-height columns only among themselves."""
-    mask = (1 << w) - 1
-    heights: dict = {}
-    size = 1
-    while orbit:
-        t = ((orbit & -orbit).bit_length() - 1) // w  # the lowest nonzero field
-        m = orbit >> w * t & mask
-        orbit -= m << w * t
-        h = t.bit_count()
-        heights[h] = heights.get(h, 0) + m
-        size *= factorial(m)
-    return prod(map(factorial, heights.values())) // size
 
 
 def highest_weight_vector(lam: Partition, n: int, p: int) -> TensorVector:
@@ -182,7 +183,10 @@ def _splits(moves: tuple, k: int, p: int) -> tuple:
 
 
 def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
-    """Divided power E_ji^(k) of the root operator taking letter i to j > i."""
+    """Divided power E_ji^(k) of the root operator taking letter i to j > i.
+
+    For k = 1 each target moves one block of one eligible type t, with the
+    coefficient (+-1)(m_t' + 1), so no split is looked up."""
     if not 1 <= i < j <= v.n:
         raise ValueError(f"lowering {i} -> {j} outside 1..{v.n}")
     w = v.width
@@ -190,6 +194,19 @@ def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
     table = _moves(v.n, i, j, w)
     p = v.p
     out: dict = {}
+    get = out.get
+    if k == 1:
+        for orbit, coeff in v.entries.items():
+            for at, to, odd, delta in table:
+                if orbit >> at & mask:
+                    key = orbit + delta
+                    c = coeff * ((orbit >> to & mask) + 1)
+                    x = (get(key, 0) - c if odd else get(key, 0) + c) % p
+                    if x:
+                        out[key] = x
+                    else:
+                        out.pop(key, None)
+        return TensorVector(v.n, p, v.cols, out)
     for orbit, coeff in v.entries.items():
         moves = []
         deltas = []
@@ -202,7 +219,7 @@ def apply_lowering(v: TensorVector, i: int, j: int, k: int) -> TensorVector:
             key = orbit
             for jt, delta in zip(js, deltas):
                 key += jt * delta
-            x = (out.get(key, 0) + coeff * c) % p
+            x = (get(key, 0) + coeff * c) % p
             if x:
                 out[key] = x
             else:
@@ -291,27 +308,40 @@ def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
     return None
 
 
-def _gram_rank(rows: list, p: int, w: int) -> int:
+def _gram_rank(rows: list, p: int, w: int, numerator: int) -> int:
     """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of rows of packed
-    orbits of field width w.
+    orbits of field width w, whose columns give |O| the numerator
+    prod_c m_c!.
 
     The matrix is built from an orbit index: each orbit adds |O| a b to the
     entries of every pair of rows that hold it, with coefficients a and b."""
+    mask = (1 << w) - 1
+
+    def size(orbit: int) -> int:
+        """|O| mod p: the numerator over prod_t m_t!, read from the nonzero
+        fields, lowest first."""
+        denominator = 1
+        while orbit:
+            orbit >>= ((orbit & -orbit).bit_length() - 1) // w * w
+            denominator *= factorial(orbit & mask)
+            orbit >>= w
+        return numerator // denominator % p
+
     d = len(rows)
     if d == 0:
         return 0
     if d == 1:
-        return int(sum(orbit_size(orbit, w) * c * c for orbit, c in rows[0].items()) % p != 0)
+        return int(sum(size(orbit) * c * c for orbit, c in rows[0].items()) % p != 0)
     index: dict = {}
     for a, row in enumerate(rows):
         for orbit, c in row.items():
             index.setdefault(orbit, []).append((a, c))
     g = [[0] * d for _ in range(d)]
     for orbit, holders in index.items():
-        size = orbit_size(orbit, w) % p
-        if size:
+        s = size(orbit)
+        if s:
             for a, x in holders:
-                line, sx = g[a], size * x
+                line, sx = g[a], s * x
                 for b, y in holders:
                     line[b] += sx * y
     g = [[x % p for x in line] for line in g]
@@ -366,6 +396,7 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
     """
     hwv = highest_weight_vector(lam, n, p)
     w = hwv.width
+    numerator = prod(map(factorial, Counter(hwv.cols).values()))
     trie: dict = {}  # op -> (the vector after the prefix ending in op, subtrie)
     coeffs = {}
     max_dim = 0
@@ -391,7 +422,7 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
                 f"weight {list(nu)} of L{list(lam)} needs more than {budget} orbit terms and Gram entries"
             )
         max_dim = max(max_dim, d)
-        rank = _gram_rank(list(ech.values()), p, w)
+        rank = _gram_rank(list(ech.values()), p, w, numerator)
         if rank:
             coeffs[nu] = rank
     return SymChar(n, sum(lam), coeffs), max_dim
@@ -447,32 +478,46 @@ class SimpleTable:
         self._saved = len(self.cache)
 
     def char(self, lam: Partition) -> SymChar:
-        """The character of L(lam), from the table or else computed.
-
-        A lam with n parts, k = lam_n, has its first k columns full: a full
-        block is never lowered and leaves every orbit size as it is, so the
-        tableau vectors, Gram matrices and ranks of lam are those of
-        lam - k 1^n, every weight shifted by k 1^n.  When this table computed
-        lam - k 1^n, its character is shifted instead of computed again; a
-        loaded one has no recorded dimension and is not used."""
+        """The character of L(lam), from the table, else derived from a
+        character this table computed (_derived), else computed."""
         lam = tuple(lam)
         cached = self.cache.get(lam)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        k = lam[-1] if lam and len(lam) == self.n else 0
-        base = tuple(x - k for x in lam if x > k)
-        if k and base in self.dims:
-            pad = (0,) * self.n
-            shifted = {tuple(x + k for x in mu + pad[len(mu) :]): c for mu, c in self.cache[base].coeffs.items()}
-            chi, dim = SymChar(self.n, sum(lam), shifted), self.dims[base]
-        else:
-            chi, dim = _simple_char_by_gram(lam, self.p, self.n, self.budget)
+        if len(lam) > self.n:
+            raise LengthExceedsN(f"{lam} needs more than {self.n} letters")
+        chi, dim = self._derived(lam) or _simple_char_by_gram(lam, self.p, self.n, self.budget)
         self.cache[lam] = chi
         self.dims[lam] = dim
         self.max_weight_dim = max(self.max_weight_dim, dim)
         return chi
+
+    def _derived(self, lam: Partition) -> Optional[tuple[SymChar, int]]:
+        """The character and largest weight space of L(lam), mapped from a
+        character this table computed, or None (see the module docstring).
+
+        Full columns: a lam with n parts, k = lam_n, has the Gram ranks of
+        lam - k 1^n, every weight shifted by k 1^n.  Duality: L(lam) is
+        L(lam_1 - lam_n, ..., lam_1 - lam_2) dualised and twisted by
+        det^lam_1, so each of that character's weights nu gives the weight
+        (lam_1 - nu_n, ..., lam_1 - nu_1) of lam.  A loaded character has no
+        recorded dimension and is not used."""
+        n = self.n
+        pad = (0,) * n
+        top = lam[0] if lam else 0
+        k = lam[-1] if lam and len(lam) == n else 0
+        base = tuple(x - k for x in lam if x > k)
+        dual = tuple(top - x for x in reversed(lam + pad[len(lam) :]) if x < top)
+        if k and base in self.dims:
+            source, move = base, lambda nu: [x + k for x in nu]
+        elif dual in self.dims:
+            source, move = dual, lambda nu: [top - x for x in reversed(nu)]
+        else:
+            return None
+        coeffs = {tuple(x for x in move(mu + pad[len(mu) :]) if x): c for mu, c in self.cache[source].coeffs.items()}
+        return SymChar(n, sum(lam), coeffs), self.dims[source]
 
     def __enter__(self) -> SimpleTable:
         return self

@@ -13,13 +13,11 @@ from schurkit.characters import (
     SymChar,
     char_from_expr,
     decompose_schur,
-    dim_complete,
     frobenius_twist,
     is_deficient,
     kostka,
     power_char,
     schur_char,
-    zero_char,
 )
 from schurkit.errors import DegreeMixed, LengthExceedsN, VariableCountMismatch
 from schurkit.partitions import (
@@ -33,6 +31,15 @@ from schurkit.partitions import (
 
 
 # --- independent oracles -------------------------------------------------------
+
+
+def zero_char(n, degree=0):
+    return SymChar(n, degree, {})
+
+
+def dim_complete(r, n):
+    """Dimension of S^r of an n-dimensional space: multisets of r of n letters."""
+    return comb(n + r - 1, r)
 
 
 def ssyt_count(shape, content):

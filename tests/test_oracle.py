@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -43,7 +44,6 @@ from schurkit.oracle import (
     enumerate_factors,
     factor_dimensions_check,
     highest_weight_vector,
-    orbit_size,
     product_char,
 )
 from schurkit.partitions import (
@@ -157,6 +157,11 @@ def _rank_mod_p(g, p):
     return rank
 
 
+def _numerator(cols):
+    """prod_c m_c! over the column heights c, m_c columns of height c."""
+    return prod(map(factorial, Counter(cols).values()))
+
+
 def _dense_gram_rank(rows, p, w):
     """Reference Gram rank: one dict dot product <a, b> = sum_O |O| a_O b_O
     per pair of rows of packed orbits of field width w."""
@@ -238,7 +243,7 @@ def _unshared_char(lam, p, n):
                 vec = apply_lowering(vec, *op)
             _reduce_against(ech, dict(vec.entries), p)
         max_dim = max(max_dim, len(ech))
-        rank = _gram_rank(list(ech.values()), p, _width(hwv.cols))
+        rank = _gram_rank(list(ech.values()), p, _width(hwv.cols), _numerator(hwv.cols))
         if rank:
             coeffs[nu] = rank
     return SymChar(n, sum(lam), coeffs), max_dim
@@ -329,7 +334,7 @@ def test_apply_lowering_matches_word_reference():
                         img = apply_lowering(v, *op)
                         expect = _lower_words(words, hwv.cols, *op, p)
                         assert _words(img) == expect, (lam, p, op, v.entries)
-                        assert sum(orbit_size(o, _width(hwv.cols)) for o in img.entries) == len(expect)
+                        assert sum(_orbit_size(o, _width(hwv.cols)) for o in img.entries) == len(expect)
 
 
 def test_packed_lowering_matches_tuple_kernel():
@@ -401,36 +406,109 @@ def test_dominated_weights_are_the_filtered_partitions():
             assert list(_dominated(lam, n)) == want, (lam, n)
 
 
+def _dual(lam, n):
+    """(lam_1 - lam_n, ..., lam_1 - lam_2): the highest weight of L(lam)^*
+    twisted by det^lam_1, without its zeros."""
+    top = lam[0] if lam else 0
+    return tuple(top - x for x in reversed(lam + (0,) * (n - len(lam))) if x < top)
+
+
 def test_full_columns_reuse_the_character_without_them(monkeypatch):
     # a lam with n parts is shifted from lam - lam_n 1^n, which has fewer
-    # parts and a smaller degree, so every full-length lam here is reused
+    # parts and a smaller degree, so every full-length lam here is reused;
+    # a shorter lam whose dual the table computed first is mapped from it
     gram = oracle._simple_char_by_gram
     computed = []
     monkeypatch.setattr(oracle, "_simple_char_by_gram", lambda lam, *args: computed.append(lam) or gram(lam, *args))
     for p, n in ((2, 3), (3, 3), (2, 4), (3, 4)):
         tab = SimpleTable(p, n)
+        dual = []
         for lam in partitions_up_to(10, max_len=n):
+            if len(lam) < n and _dual(lam, n) in tab.dims:
+                dual.append(lam)
             tab.char(lam)
         full = [lam for lam in tab.cache if len(lam) == n]
-        assert full and not set(full) & set(computed), (p, n)
-        assert len(computed) == len(tab.cache) - len(full) == tab.stats()["cacheMisses"] - len(full)
-        for lam in full:
+        assert full and dual and not set(full + dual) & set(computed), (p, n)
+        assert len(computed) == len(tab.cache) - len(full) - len(dual)
+        assert len(computed) == tab.stats()["cacheMisses"] - len(full) - len(dual)
+        for lam in full + dual:
             assert (tab.cache[lam], tab.dims[lam]) == gram(lam, p, n, DEFAULT_BUDGET), (lam, p, n)
         computed.clear()
 
 
-def test_a_loaded_character_is_not_shifted(tmp_path):
+def test_a_loaded_character_is_not_shifted(tmp_path, monkeypatch):
     # a loaded character has no recorded dimension: the Gram path runs and
-    # the largest weight space is reported as it is computed
-    lam, base = (5, 3, 1), (4, 2)
+    # the largest weight space is reported as it is computed, both for a lam
+    # with full columns and for a lam whose dual was loaded
+    cases = (((5, 3, 1), (4, 2)), ((4, 3), (4, 1)))
+    assert _dual((4, 3), 3) == (4, 1)
     with SimpleTable(3, 3, cache_dir=tmp_path) as tab:
-        tab.char(base)
+        for _, base in cases:
+            tab.char(base)
     fresh = SimpleTable(3, 3, cache_dir=tmp_path)
-    assert list(fresh.cache) == [base] and fresh.dims == {}
-    chi, dim = _simple_char_by_gram(lam, 3, 3, DEFAULT_BUDGET)
-    assert dim == tab.dims[base] > 1
-    assert fresh.char(lam) == chi
-    assert fresh.stats()["maxWeightSpaceDim"] == fresh.dims[lam] == dim
+    assert sorted(fresh.cache) == sorted(base for _, base in cases) and fresh.dims == {}
+    gram = oracle._simple_char_by_gram
+    computed = []
+    monkeypatch.setattr(oracle, "_simple_char_by_gram", lambda lam, *args: computed.append(lam) or gram(lam, *args))
+    for lam, base in cases:
+        chi, dim = gram(lam, 3, 3, DEFAULT_BUDGET)
+        assert dim == tab.dims[base] > 1
+        assert fresh.char(lam) == chi and fresh.dims[lam] == dim
+    assert computed == [lam for lam, _ in cases]
+    assert fresh.stats()["maxWeightSpaceDim"] == max(fresh.dims.values())
+
+
+def test_length_is_checked_before_a_character_is_derived():
+    # (2,2,1) has more than n = 2 parts; the dual formula would map it from
+    # (1), which the table computed, yet it raises and the miss is counted
+    tab = SimpleTable(2, 2)
+    tab.char((1,))
+    assert _dual((2, 2, 1), 2) == (1,)
+    with pytest.raises(LengthExceedsN):
+        tab.char((2, 2, 1))
+    assert tab.stats()["cacheMisses"] == 2 and (2, 2, 1) not in tab.cache
+
+
+# (p, n, smallest degree, largest degree) of the larger cases
+LARGER_CASES = ((2, 3, 9, 12), (3, 3, 9, 13), (2, 5, 0, 7), (3, 4, 8, 9), (5, 3, 9, 13), (7, 3, 9, 15))
+
+# _case_digest of the small and the larger cases, recorded from the kernel
+# that took every orbit size from the orbit alone and had no k = 1 lowering
+# or dual rule; a change to the kernel must leave both as they are
+SMALL_DIGEST = "fbe2155d4adf8227bef3afc818477822f845eeee96863d34bb5e2af99203d91a"
+LARGER_DIGEST = "35fd455c8a282de59f73b07051644679055e21862f2f317b4d291812bc5ab4f9"
+
+
+def _small_cases():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            yield p, n, list(partitions_up_to(7 if n == 4 else 8, max_len=n))
+
+
+def _larger_cases():
+    for p, n, lo, hi in LARGER_CASES:
+        yield p, n, [lam for lam in partitions_up_to(hi, max_len=n) if sum(lam) >= lo]
+
+
+def _case_digest(groups):
+    """SHA-256 over each lam of each (p, n, lams) group, asked of one fresh
+    table per group, of (p, n, lam, sorted character, largest weight
+    space); also the number of lam."""
+    h, count = hashlib.sha256(), 0
+    for p, n, lams in groups:
+        tab = SimpleTable(p, n)
+        for lam in lams:
+            chi = tab.char(lam)
+            h.update(repr((p, n, lam, sorted(chi.coeffs.items()), tab.dims[lam])).encode())
+            count += 1
+    return h.hexdigest(), count
+
+
+def test_characters_match_the_recorded_digests():
+    # the exactness gate of every kernel change: characters and largest
+    # weight spaces, whether computed, shifted or mapped from a dual
+    assert _case_digest(_small_cases()) == (SMALL_DIGEST, 452)
+    assert _case_digest(_larger_cases()) == (LARGER_DIGEST, 433)
 
 
 def test_tableau_operators_match_unpruned_peel():
@@ -456,22 +534,26 @@ def test_splits_match_reference_generator():
 
 
 def test_gram_rank_matches_dense_reference():
-    # orbits over the letters 1..3 whose sizes are 1, 2, 3 and 6, packed in
-    # fields of two bits (at most three blocks)
+    # orbits of the columns (2,2,1,1,1) over the letters 1..3, packed in
+    # fields of three bits; the numerator is 2! 3! and the sizes are 1, 2,
+    # 3, 6 and 12
+    cols = (2, 2, 1, 1, 1)
+    w, numerator = _width(cols), _numerator(cols)
     pool = [
-        _orbit(2, *blocks)
+        _orbit(w, *blocks)
         for blocks in (
-            ((1,), (1,)),
-            ((1,), (2,)),
-            ((2,), (3,)),
-            ((1,), (1,), (2,)),
-            ((1,), (2,), (3,)),
-            ((1, 2), (1,)),
-            ((1, 3), (2,)),
-            ((2, 3), (1,), (1,)),
-            ((1, 2), (1, 3), (3,)),
+            ((1, 2), (1, 2), (1,), (1,), (1,)),
+            ((1, 2), (1, 3), (1,), (1,), (1,)),
+            ((1, 2), (1, 2), (1,), (1,), (2,)),
+            ((1, 2), (1, 2), (1,), (2,), (3,)),
+            ((1, 3), (2, 3), (1,), (2,), (3,)),
+            ((2, 3), (2, 3), (3,), (3,), (1,)),
+            ((1, 3), (1, 3), (2,), (2,), (2,)),
+            ((1, 2), (2, 3), (2,), (3,), (3,)),
+            ((1, 3), (2, 3), (1,), (1,), (3,)),
         )
     ]
+    assert sorted({_orbit_size(o, w) for o in pool}) == [1, 2, 3, 6, 12]
     rng = random.Random(5)
     for _ in range(500):
         p = rng.choice((2, 3, 5))
@@ -482,8 +564,8 @@ def test_gram_rank_matches_dense_reference():
             a, b = rng.choice(rows), rng.choice(rows)
             row = {o: (a.get(o, 0) + 2 * b.get(o, 0)) % p for o in set(a) | set(b)}
             rows.append({o: c for o, c in row.items() if c})
-        assert _gram_rank(rows, p, 2) == _dense_gram_rank(rows, p, 2), (rows, p)
-    assert _gram_rank([], 3, 2) == 0
+        assert _gram_rank(rows, p, w, numerator) == _dense_gram_rank(rows, p, w), (rows, p)
+    assert _gram_rank([], 3, w, numerator) == 0
 
 
 def test_module_memos_clear_to_cold():
@@ -511,10 +593,12 @@ def test_module_memos_clear_to_cold():
         ("schurkit.oracle", "_moves"),
         ("schurkit.oracle", "_splits"),
         ("schurkit.characters", "kostka"),
+        ("schurkit.characters", "_orbit_size"),
     }
     SimpleTable(2, 3).char((3, 2, 1))
+    product_char([("S", 2), ("S", 1)], 2, 3)
     assert _peel.cache_info().currsize > 0 and _splits.cache_info().currsize > 0
-    assert _moves.cache_info().currsize > 0
+    assert _moves.cache_info().currsize > 0 and characters._orbit_size.cache_info().currsize > 0
     for name, mod in list(sys.modules.items()):
         if name.startswith("schurkit."):
             for value in vars(mod).values():
@@ -523,6 +607,7 @@ def test_module_memos_clear_to_cold():
     assert _peel.cache_info().currsize == 0
     assert _moves.cache_info().currsize == 0
     assert _splits.cache_info().currsize == 0
+    assert characters._orbit_size.cache_info().currsize == 0
 
 
 def test_gram_sanity_invariants():
