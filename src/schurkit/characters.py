@@ -103,28 +103,6 @@ class SymChar:
         """Evaluation at all-ones: total weight multiplicity."""
         return sum(c * _orbit_size(lam, self.n) for lam, c in self.coeffs.items())
 
-    def __add__(self, other: "SymChar") -> "SymChar":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, 0) + c
-        return SymChar(self.n, self.degree, out)
-
-    def __sub__(self, other: "SymChar") -> "SymChar":
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, 0) - c
-        return SymChar(self.n, self.degree, out)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, SymChar):
-            raise TypeError(f"cannot combine SymChar with {type(other)}")
-        if self.n != other.n:
-            raise VariableCountMismatch(f"{self.n} vs {other.n} variables")
-        if self.degree != other.degree and self.coeffs and other.coeffs:
-            raise DegreeMixed(f"degree {self.degree} vs {other.degree}")
-
     def __mul__(self, other: "SymChar") -> "SymChar":
         """Product as symmetric functions, by orbit-stabilizer counting.
 

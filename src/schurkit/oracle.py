@@ -43,10 +43,11 @@ a submodule.  Any m in the radical pairs to zero with every F v, hence
 (applying the transposed monomial) lies in a submodule avoiding the highest
 weight line, while <v, v> = 1 keeps v out of the radical; therefore M modulo
 the radical is the irreducible module with highest weight lam, and the rank
-of the Gram matrix of any basis of a weight space of M is the weight
-multiplicity of the simple module.  This holds even when M is a proper
-reduction image of the integral Weyl module, so no purity assumption is
-needed.  Restricted to symmetric tensors the same form reads
+of the Gram matrix of any spanning set of a weight space of M is the weight
+multiplicity of the simple module (the Gram matrix of a spanning set is
+C G C^T, G that of a basis and C of full column rank).  This holds even when
+M is a proper reduction image of the integral Weyl module, so no purity
+assumption is needed.  Restricted to symmetric tensors the same form reads
 <a, b> = sum_O |O| a_O b_O over orbits O, with |O| taken mod p; M and the
 form are unchanged, only written in fewer coordinates, so every rank is the
 rank the word basis gives.
@@ -55,19 +56,19 @@ Tableau vectors.  The integral Weyl module U_Z^- v has the Z-basis F^(T) v,
 one vector per semistandard tableau T of shape lam (R. W. Carter and
 G. Lusztig, Math. Z. 136 (1974); Green, LNM 830), where F^(T) is the product
 over rows r of T of E_jr^(t_rj) for the t_rj letters j > r in row r, the
-bottom row acting first.  Reduced mod p, the vectors of content nu span M_nu,
-so only the dominant weights nu are visited, and only the nu that lam
-dominates are generated, since no other nu has a tableau.  The tableaux are
-peeled as horizontal strips, largest letter first.  A strip's inner shape is
-built row by row and cut short as soon as it stops dominating the rest of the
-content, so every branch ends in a tableau; the peel of each (shape, content)
-is memoised.  The operators of a tableau act bottom row first, and the
-tableaux of lam share many leading operators, also across weights: the
-vectors of every proper prefix are kept in a trie, op -> (vector, subtrie),
-for all of lam's weights, and each operator prefix is lowered once.  The
-vectors are row-reduced to an echelon basis, each row led by its smallest
-orbit, and the Gram rank of that basis is the multiplicity of nu.  The Gram matrix is summed orbit by orbit over
-the rows that hold each orbit.
+bottom row acting first.  Reduced mod p, the vectors of content nu are a
+basis of M_nu (see Duality), so only the dominant weights nu are visited,
+and only the nu that lam dominates are generated, since no other nu has a
+tableau.  The tableaux are peeled as horizontal strips, largest letter
+first.  A strip's inner shape is built row by row and cut short as soon as
+it stops dominating the rest of the content, so every branch ends in a
+tableau; the peel of each (shape, content) is memoised.  The operators of
+a tableau act bottom row first, and the tableaux of lam share many leading
+operators, also across weights: the vectors of every proper prefix are kept
+in a trie, op -> (vector, subtrie), for all of lam's weights, and each
+operator prefix is lowered once.  The Gram matrix is built from the
+tableau vectors themselves, summed orbit by orbit over the vectors that hold
+each orbit, and its rank is the multiplicity of nu.
 
 Full columns.  When lam has n parts, its first k = lam_n columns hold the
 full block 1..n in every word.  A full block holds every letter, so no
@@ -83,16 +84,20 @@ lam_1 1^n - nu over the weights nu of L(lam), with the same multiplicities.
 So a table that computed lam* = (lam_1 - lam_n, ..., lam_1 - lam_2), zeros
 dropped, maps each weight nu of lam* to (lam_1 - nu_n, ..., lam_1 - nu_1)
 instead of computing lam.  The largest weight space is taken from lam* too.
-The ranks never need it, but M is in fact the Weyl module: its standard
-basis stays free over every field (K. Akin, D. A. Buchsbaum and J. Weyman,
-Adv. Math. 44 (1982)), so dim M_nu is the Kostka number K_{lam nu}, and
-K_{lam nu} = K_{lam* nu*}.
+The ranks need only that the tableau vectors span M_nu, but the recorded
+dimensions rest on M being the Weyl module: its standard basis stays free
+over every field (K. Akin, D. A. Buchsbaum and J. Weyman, Adv. Math. 44
+(1982)), so the tableau vectors of content nu are a basis of M_nu, dim M_nu
+is their number, the Kostka number K_{lam nu}, and K_{lam nu} =
+K_{lam* nu*}.
 
 Budget.  A table's budget caps what one dominant weight holds: the orbit
 terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
-the echelon size.  It is checked before the Gram matrix is built.  The
-prefix vectors that the trie keeps are not counted, and a character shifted
-or mapped from its dual builds no vectors.
+the number of its tableaux, known before any vector is lowered.  It is
+checked after each vector, so a run stops as soon as the sum passes the
+budget and before the Gram matrix is built.  The prefix vectors that the
+trie keeps are not counted, and a character shifted or mapped from its dual
+builds no vectors.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ from typing import Iterable, Iterator, Optional
 
 from .characters import SymChar, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError, VariableCountMismatch
-from .partitions import Partition, partition, transpose
+from .partitions import PRIME_LIMIT, Partition, is_prime, partition, transpose
 
 DEFAULT_BUDGET = 300_000
 
@@ -281,33 +286,6 @@ def _tableau_operators(lam: Partition, nu: tuple):
         yield sorted(ops, reverse=True)
 
 
-def _reduce_against(ech: dict, vec: dict, p: int) -> Optional[dict]:
-    """Row-reduce vec against the echelon rows; return the normalized new row
-    (also installed into ech) or None when vec lies in the span.
-
-    A row's lead is its smallest packed orbit.  Any lead gives the same span
-    and Gram rank, but the choice sets how much a reduction fills in: for
-    thm-2good at (p, n, rmax) = (2, 6, 12) the reductions take about a
-    tenth of the time they take with the largest orbit as lead."""
-    while vec:
-        lead = min(vec)
-        row = ech.get(lead)
-        if row is None:
-            inv = pow(vec[lead], -1, p)
-            if inv != 1:
-                vec = {w: (c * inv) % p for w, c in vec.items()}
-            ech[lead] = vec
-            return vec
-        c = vec[lead]
-        for w, x in row.items():
-            t = (vec.get(w, 0) - c * x) % p
-            if t:
-                vec[w] = t
-            else:
-                vec.pop(w, None)
-    return None
-
-
 def _gram_rank(rows: list, p: int, w: int, numerator: int) -> int:
     """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of rows of packed
     orbits of field width w, whose columns give |O| the numerator
@@ -345,22 +323,20 @@ def _gram_rank(rows: list, p: int, w: int, numerator: int) -> int:
                 for b, y in holders:
                     line[b] += sx * y
     g = [[x % p for x in line] for line in g]
-    # in-place Gaussian elimination mod p
+    # forward elimination mod p: the rank is the number of pivots
     rank = 0
     for col in range(d):
         piv = next((r for r in range(rank, d) if g[r][col]), None)
         if piv is None:
             continue
         g[rank], g[piv] = g[piv], g[rank]
-        inv = pow(g[rank][col], -1, p)
-        g[rank] = [(x * inv) % p for x in g[rank]]
-        for r in range(d):
-            if r != rank and g[r][col]:
-                f = g[r][col]
-                g[r] = [(x - f * y) % p for x, y in zip(g[r], g[rank])]
+        top = g[rank]
+        inv = pow(top[col], -1, p)
+        for r in range(rank + 1, d):
+            if g[r][col]:
+                f = g[r][col] * inv
+                g[r] = [(x - f * y) % p for x, y in zip(g[r], top)]
         rank += 1
-        if rank == d:
-            break
     return rank
 
 
@@ -385,14 +361,17 @@ def _dominated(lam: Partition, n: int) -> Iterator[Partition]:
 
 
 def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[SymChar, int]:
-    """Character of the simple module via Gram ranks of the tableau vectors
-    at each dominant weight; also returns the largest weight-space dimension.
-    The vectors of the proper operator prefixes are shared by all of lam's
+    """Character of the simple module via the Gram ranks of the tableau
+    vectors at each dominant weight; also returns the largest weight-space
+    dimension, the largest number of tableaux of one content.  The vectors
+    are the rows of the Gram matrix unreduced: they are a basis of the weight
+    space, and the Gram matrix of any spanning set has the form's rank.  The
+    vectors of the proper operator prefixes are shared by all of lam's
     weights; the last operator of each tableau is applied unstored.
 
-    Raises ResourceBudgetExceeded when the orbit terms of one weight's
-    vectors plus its Gram entries pass budget, before the Gram matrix is
-    built.
+    Raises ResourceBudgetExceeded as soon as the orbit terms of one weight's
+    vectors plus its d^2 Gram entries, d the number of its tableaux, pass
+    budget, before the Gram matrix is built.
     """
     hwv = highest_weight_vector(lam, n, p)
     w = hwv.width
@@ -401,8 +380,9 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
     coeffs = {}
     max_dim = 0
     for nu in _dominated(lam, n):
-        held = 0
-        ech: dict = {}
+        d = len(_peel(lam, nu))  # the number of tableaux
+        held = d * d
+        rows = []
         for ops in _tableau_operators(lam, nu):
             vec, node = hwv, trie
             for op in ops[:-1]:
@@ -414,15 +394,12 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
                 vec = apply_lowering(vec, *ops[-1])
             held += len(vec.entries)
             if held > budget:
-                break
-            _reduce_against(ech, dict(vec.entries), p)
-        d = len(ech)
-        if held + d * d > budget:
-            raise ResourceBudgetExceeded(
-                f"weight {list(nu)} of L{list(lam)} needs more than {budget} orbit terms and Gram entries"
-            )
+                raise ResourceBudgetExceeded(
+                    f"weight {list(nu)} of L{list(lam)} needs more than {budget} orbit terms and Gram entries"
+                )
+            rows.append(vec.entries)
         max_dim = max(max_dim, d)
-        rank = _gram_rank(list(ech.values()), p, w, numerator)
+        rank = _gram_rank(rows, p, w, numerator)
         if rank:
             coeffs[nu] = rank
     return SymChar(n, sum(lam), coeffs), max_dim
@@ -452,7 +429,8 @@ def _unique_keys(pairs: list) -> dict:
 
 class SimpleTable:
     """Cache of simple characters for one (p, n), the only place the oracle
-    functions read p and n from.
+    functions read p and n from.  p must be a prime below PRIME_LIMIT and
+    n at least 1, else ValueError.
 
     With cache_dir, the table starts from the file simple_p{p}_n{n}.jsonl in
     that directory when it exists, and persist() writes the table back there.
@@ -463,6 +441,10 @@ class SimpleTable:
     """
 
     def __init__(self, p: int, n: int, budget: int = DEFAULT_BUDGET, cache_dir: str | os.PathLike | None = None):
+        if not (p < PRIME_LIMIT and is_prime(p)):
+            raise ValueError(f"p = {p} is not a prime below {PRIME_LIMIT}")
+        if n < 1:
+            raise ValueError(f"n = {n} is not a positive number of variables")
         self.p = p
         self.n = n
         self.budget = budget

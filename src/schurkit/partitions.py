@@ -53,10 +53,6 @@ def omega(s: int) -> Partition:
     return (1,) * s
 
 
-def degree(lam: Partition) -> int:
-    return sum(lam)
-
-
 def transpose(lam: Partition) -> Partition:
     """Conjugate diagram: column lengths become row lengths."""
     if not lam:
@@ -178,9 +174,6 @@ class PAdicDigits:
 
     digits: tuple
     prime: int
-
-    def recombine(self) -> Partition:
-        return recombine(self.digits, self.prime)
 
 
 def p_adic_digits(lam: Partition, p: int) -> PAdicDigits:

@@ -13,11 +13,9 @@ import pytest
 from schurkit.classify import (
     divisibility_index_n3,
     g1_inj_n3,
-    is_21good_piecewise,
     is_21special,
     is_2good,
     primitive_index,
-    standard_parses,
 )
 from schurkit.characters import TRUNCATED, frobenius_twist, kostka, power_char, schur_char
 from schurkit.oracle import SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check
@@ -39,6 +37,13 @@ CRIT2_CONFIGS = [(2, 3, 10), (3, 3, 10), (5, 2, 10)]
 @pytest.fixture(scope="session")
 def tables():
     return {}
+
+
+@pytest.fixture(scope="module")
+def combinatorial():
+    """The combinatorial suite at bound 30 for each prime, run once for
+    criteria 5, 6 and 8."""
+    return {p: suite_combinatorial(p, 30) for p in (2, 3, 5, 7)}
 
 
 def _table(tables, p, n):
@@ -143,23 +148,25 @@ def test_criterion4_p_core_anchors():
     assert random_ok
 
 
-def test_criterion5_parse_uniqueness():
-    bad = []
-    for p in (2, 3, 5, 7):
-        for lam in partitions_up_to(30):
-            if len(standard_parses(lam, p)) > 1:
-                bad.append((p, lam))
-    _line(5, not bad, "at most one primitive-chain parse, degree<=30, p in {2,3,5,7}")
+def _combinatorial_sub(report, name):
+    return next(sub for sub in report.sub_reports if sub.suite == f"combinatorial/{name}")
+
+
+def test_criterion5_parse_uniqueness(combinatorial):
+    subs = [_combinatorial_sub(combinatorial[p], "parse-uniqueness") for p in (2, 3, 5, 7)]
+    bad = [(sub.params["p"], d) for sub in subs for d in sub.discrepancies]
+    at_bound = all(sub.params["bound"] == 30 for sub in subs)
+    _line(5, not bad and at_bound, "at most one primitive-chain parse, degree<=30, p in {2,3,5,7}")
+    assert at_bound
     assert not bad, bad[:5]
 
 
-def test_criterion6_piecewise_consistency():
-    bad = []
-    for p in (3, 5, 7):
-        for lam in partitions_up_to(25):
-            if is_restricted(lam, p) and is_21good_piecewise(lam, p) != is_21special(lam, p):
-                bad.append((p, lam))
-    _line(6, not bad, "first-row piecewise forms = omega-subtraction search, degree<=25")
+def test_criterion6_piecewise_consistency(combinatorial):
+    subs = [_combinatorial_sub(combinatorial[p], "piecewise-consistency") for p in (3, 5, 7)]
+    bad = [(sub.params["p"], d) for sub in subs for d in sub.discrepancies]
+    at_bound = all(sub.params["bound"] == 25 for sub in subs)
+    _line(6, not bad and at_bound, "first-row piecewise forms = omega-subtraction search, degree<=25")
+    assert at_bound
     assert not bad, bad[:5]
 
 
@@ -193,10 +200,9 @@ def test_criterion7_oracle_self_audits(tables):
     assert not bad, bad[:5]
 
 
-def test_criterion8_structural_invariants():
+def test_criterion8_structural_invariants(combinatorial):
     failures = []
-    for p in (2, 3, 5, 7):
-        rep = suite_combinatorial(p, 30)
+    for p, rep in combinatorial.items():
         if not rep.verdict:
             failures.extend(
                 (p, sub.suite, sub.discrepancies[:2]) for sub in rep.sub_reports if not sub.verdict

@@ -34,7 +34,6 @@ from schurkit.oracle import (
     _gram_rank,
     _moves,
     _peel,
-    _reduce_against,
     _simple_char_by_gram,
     _splits,
     _tableau_operators,
@@ -47,6 +46,7 @@ from schurkit.oracle import (
     product_char,
 )
 from schurkit.partitions import (
+    PRIME_LIMIT,
     Dominance,
     dominance_leq,
     is_restricted,
@@ -55,6 +55,7 @@ from schurkit.partitions import (
     partitions_of,
     partitions_up_to,
     restricted_split,
+    transpose,
 )
 
 
@@ -157,6 +158,27 @@ def _rank_mod_p(g, p):
     return rank
 
 
+def _reduce_mod_p(ech, vec, p):
+    """Reference echelon step: reduce a copy of the sparse vector vec against
+    the rows of ech, each keyed by its smallest orbit; install and return the
+    remainder when it is nonzero, else return None."""
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        row = ech.get(lead)
+        if row is None:
+            ech[lead] = vec
+            return vec
+        f = vec[lead] * pow(row[lead], -1, p)
+        for o, x in row.items():
+            t = (vec.get(o, 0) - f * x) % p
+            if t:
+                vec[o] = t
+            else:
+                vec.pop(o, None)
+    return None
+
+
 def _numerator(cols):
     """prod_c m_c! over the column heights c, m_c columns of height c."""
     return prod(map(factorial, Counter(cols).values()))
@@ -230,20 +252,30 @@ def _tuple_lowering(entries, n, i, j, k, p):
     return {o: c for o, c in out.items() if c}
 
 
+def _tableau_vectors(lam, nu, p, n):
+    """The tableau vectors of content nu, each lowered from the highest
+    weight vector on its own."""
+    hwv, out = highest_weight_vector(lam, n, p), []
+    for ops in _tableau_operators(lam, nu):
+        vec = hwv
+        for op in ops:
+            vec = apply_lowering(vec, *op)
+        out.append(vec.entries)
+    return out
+
+
 def _unshared_char(lam, p, n):
-    """Reference oracle without prefix sharing: every tableau vector is
-    lowered from the highest weight vector on its own."""
-    hwv = highest_weight_vector(lam, n, p)
+    """Reference oracle without prefix sharing: the tableau vectors are
+    lowered one by one, row-reduced to an echelon basis and the dense Gram
+    rank of that basis taken."""
+    w = _width(transpose(lam))
     coeffs, max_dim = {}, 0
     for nu in _dominated(lam, n):
         ech = {}
-        for ops in _tableau_operators(lam, nu):
-            vec = hwv
-            for op in ops:
-                vec = apply_lowering(vec, *op)
-            _reduce_against(ech, dict(vec.entries), p)
+        for vec in _tableau_vectors(lam, nu, p, n):
+            _reduce_mod_p(ech, vec, p)
         max_dim = max(max_dim, len(ech))
-        rank = _gram_rank(list(ech.values()), p, _width(hwv.cols), _numerator(hwv.cols))
+        rank = _dense_gram_rank(list(ech.values()), p, w)
         if rank:
             coeffs[nu] = rank
     return SymChar(n, sum(lam), coeffs), max_dim
@@ -257,7 +289,7 @@ def _closure_char(lam, p, n):
     hwv = highest_weight_vector(lam, n, p)
     top = tuple(lam) + (0,) * (n - len(lam))
     echelons = {top: {}}
-    _reduce_against(echelons[top], dict(hwv.entries), p)
+    _reduce_mod_p(echelons[top], hwv.entries, p)
     queue = [(top, hwv.entries)]
     while queue:
         w, row = queue.pop()
@@ -267,7 +299,7 @@ def _closure_char(lam, p, n):
                 tw = w[: i - 1] + (w[i - 1] - k, w[i] + k) + w[i + 1 :]
                 ech = echelons.setdefault(tw, {})
                 if len(ech) < kostka(lam, partition(sorted(tw, reverse=True))):
-                    new = _reduce_against(ech, apply_lowering(vec, i, i + 1, k).entries, p)
+                    new = _reduce_mod_p(ech, apply_lowering(vec, i, i + 1, k).entries, p)
                     if new is not None:
                         queue.append((tw, new))
     coeffs = {}
@@ -397,6 +429,21 @@ def test_shared_prefixes_match_unshared_reference():
         for n in range(1, 5):
             for lam in partitions_up_to(10, max_len=n):
                 assert _simple_char_by_gram(lam, p, n, 10**6) == _unshared_char(lam, p, n), (lam, p, n)
+
+
+def test_tableau_vectors_are_independent_mod_p():
+    # the kernel takes the Gram rank of the tableau vectors unreduced and
+    # records their number as the weight-space dimension: both rest on the
+    # vectors of one content being a basis mod p (Akin-Buchsbaum-Weyman)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for lam in partitions_up_to(10, max_len=n):
+                for nu in _dominated(lam, n):
+                    vecs = _tableau_vectors(lam, nu, p, n)
+                    ech = {}
+                    for vec in vecs:
+                        _reduce_mod_p(ech, vec, p)
+                    assert len(ech) == len(vecs) == kostka(lam, nu), (lam, nu, p)
 
 
 def test_dominated_weights_are_the_filtered_partitions():
@@ -726,6 +773,13 @@ def test_the_table_fixes_p_and_n():
     assert composition_factors([("S", 2)], SimpleTable(5, 2)) == {(2,): 1}
     with pytest.raises(VariableCountMismatch):
         decompose_simples(schur_char((2,), 2), SimpleTable(2, 3))
+
+
+def test_the_table_rejects_a_bad_p_or_n():
+    # PRIME_LIMIT itself passes the Miller-Rabin bases, so the bound is checked too
+    for p, n in ((4, 2), (1, 2), (0, 2), (-3, 2), (PRIME_LIMIT, 2), (3, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            SimpleTable(p, n)
 
 
 def test_stability_in_n():
