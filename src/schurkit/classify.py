@@ -7,7 +7,10 @@ truncation by p-th powers, and W the exterior algebra:
 * 2-special: factor of Sbar(E) x Sbar(E).
 * (2,1)-special: factor of Sbar x Sbar x W; equals mu + omega_s with mu 2-special.
 * 2-good: factor of S(E) x S(E); equals the standard partitions, i.e. digit
-  chains of primitive blocks (beginning / middle / end terms).
+  chains of primitive blocks (beginning / middle / end terms).  A beginning
+  term is (p-2)^k a b, a middle term is one column more than a beginning
+  term without being one, and an end term is a restricted (2,1)-special
+  partition that is not 2-special.
 
 All predicates are pure functions of (partition, prime).
 """
@@ -48,8 +51,9 @@ def is_1special(lam: Partition, p: int) -> bool:
     return True
 
 
-def _is_beginning_shape(lam: Partition, p: int) -> bool:
-    # (p-2)^k a b as a set: all parts <= p-2, all but the last two equal p-2.
+def is_beginning_term(lam: Partition, p: int) -> bool:
+    """(p-2)^k a b with p-2 >= a >= b >= 0: every part at most p-2, and all
+    but the last two equal to p-2."""
     if lam and lam[0] > p - 2:
         return False
     return all(x == p - 2 for x in lam[:-2])
@@ -89,9 +93,9 @@ def is_2special(lam: Partition, p: int) -> bool:
     if not lam:
         return True
     if is_restricted(lam, p):
-        return _is_beginning_shape(lam, p) or _matches_two_ones_sum(lam, p)
+        return is_beginning_term(lam, p) or _matches_two_ones_sum(lam, p)
     lam0, lbar = restricted_split(lam, p)
-    return _is_beginning_shape(lam0, p) and lbar == omega(len(lbar)) and len(lbar) >= 1
+    return is_beginning_term(lam0, p) and lbar == omega(len(lbar)) and len(lbar) >= 1
 
 
 def _omega_candidates(lam):
@@ -118,17 +122,9 @@ def is_21special(lam: Partition, p: int) -> bool:
 # --- piecewise first-row classification (p > 2, restricted input) ------------
 
 
-def _strip_value(lam, value):
-    k = 0
-    while k < len(lam) and lam[k] == value:
-        k += 1
-    return k, lam[k:]
-
-
-def _is_pminus1_run(lam, p, min_k):
-    # (p-1)^k a with k >= min_k and 0 <= a < p-1
-    k, rest = _strip_value(lam, p - 1)
-    return k >= min_k and len(rest) <= 1 and all(x < p - 1 for x in rest)
+def _is_pminus1_run(lam, p):
+    # (p-1)^k a with k >= 1 and 0 <= a < p-1
+    return bool(lam) and lam[0] == p - 1 and is_1special(lam, p)
 
 
 def is_21good_piecewise(lam: Partition, p: int) -> bool:
@@ -145,11 +141,11 @@ def is_21good_piecewise(lam: Partition, p: int) -> bool:
 
     if l1 <= p - 1:
         # (p-2)^k a b + omega_r, r >= 0
-        return any(_is_beginning_shape(mu, p) for mu, _ in _omega_candidates(lam))
+        return any(is_beginning_term(mu, p) for mu, _ in _omega_candidates(lam))
 
     if l1 == p:
         # (p-1)^k a + omega_r, k >= 1, r >= 1
-        return any(r >= 1 and _is_pminus1_run(mu, p, 1) for mu, r in _omega_candidates(lam))
+        return any(r >= 1 and _is_pminus1_run(mu, p) for mu, r in _omega_candidates(lam))
 
     if l1 < 2 * p - 2:
         # (p-1)^k a + (b) + omega_r, k >= 1, p-1 > b > 0, r > 0 when b = 1
@@ -160,7 +156,7 @@ def is_21good_piecewise(lam: Partition, p: int) -> bool:
                 if b == 1 and r == 0:
                     continue
                 nu = (mu[0] - b,) + mu[1:]
-                if nu[0] >= (nu[1] if len(nu) > 1 else 0) and _is_pminus1_run(partition(nu), p, 1):
+                if nu[0] >= (nu[1] if len(nu) > 1 else 0) and _is_pminus1_run(partition(nu), p):
                     return True
         return False
 
@@ -172,7 +168,7 @@ def is_21good_piecewise(lam: Partition, p: int) -> bool:
             if r < 1 or not mu:
                 continue
             nu = (mu[0] - (p - 2),) + mu[1:]
-            if nu[0] >= 0 and nu[0] >= (nu[1] if len(nu) > 1 else 0) and _is_pminus1_run(partition(nu), p, 1):
+            if nu[0] >= 0 and nu[0] >= (nu[1] if len(nu) > 1 else 0) and _is_pminus1_run(partition(nu), p):
                 return True
         return False
 
@@ -191,7 +187,7 @@ def _sum_of_two_pminus1_runs(lam, p, allow_omega):
             for b in range(0, p - 1):
                 second = (p - 1,) * m + ((b,) if b else ())
                 nu = subtract(mu, second)
-                if nu is not None and _is_pminus1_run(nu, p, 1):
+                if nu is not None and _is_pminus1_run(nu, p):
                     return True
     return False
 
@@ -199,23 +195,15 @@ def _sum_of_two_pminus1_runs(lam, p, allow_omega):
 # --- digit-chain parsing ------------------------------------------------------
 
 
-def is_beginning_term(lam: Partition, p: int) -> bool:
-    """(p-2)^k a b with p-2 >= a >= b >= 0."""
-    return _is_beginning_shape(lam, p)
-
-
 def is_middle_term(lam: Partition, p: int) -> bool:
     """Not a beginning term, but beginning after removing a column."""
-    if _is_beginning_shape(lam, p):
-        return False
-    return any(r >= 1 and _is_beginning_shape(mu, p) for mu, r in _omega_candidates(lam))
+    return not is_beginning_term(lam, p) and any(is_beginning_term(mu, p) for mu, _ in _omega_candidates(lam))
 
 
 def is_end_term(lam: Partition, p: int) -> bool:
-    """Restricted, not 2-special, and 2-special after removing a column."""
-    if not is_restricted(lam, p) or is_2special(lam, p):
-        return False
-    return any(r >= 1 and is_2special(mu, p) for mu, r in _omega_candidates(lam))
+    """Restricted, not 2-special, and 2-special after removing a column:
+    the restricted (2,1)-special partitions that are not 2-special."""
+    return is_restricted(lam, p) and not is_2special(lam, p) and is_21special(lam, p)
 
 
 def classify_term(lam: Partition, p: int) -> frozenset:
@@ -245,24 +233,15 @@ class StandardParse:
 
 
 def primitive_index(lam: Partition, p: int) -> Optional[int]:
-    """Index of lam as a primitive partition, or None.
+    """Index of lam as a primitive partition, or None: the index of the
+    parse of lam's whole digit sequence as one block (standard_parses).
 
     Index 0: restricted and 2-special.  Index m > 0: the digit sequence has
     exactly m+1 entries running beginning, middles, end.
     """
-    if is_restricted(lam, p):
-        return 0 if is_2special(lam, p) else None
-    digits = p_adic_digits(lam, p).digits
-    m = len(digits) - 1
-    if m < 1:
-        return None
-    if not is_beginning_term(digits[0], p):
-        return None
-    if not all(is_middle_term(d, p) for d in digits[1:m]):
-        return None
-    if not is_end_term(digits[m], p):
-        return None
-    return m
+    if not lam:
+        return 0
+    return next((parse.blocks[0].index for parse in standard_parses(lam, p) if len(parse.blocks) == 1), None)
 
 
 def standard_parses(lam: Partition, p: int) -> list[StandardParse]:

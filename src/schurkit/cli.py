@@ -209,8 +209,8 @@ def _classify_arguments(pc) -> None:
     pc.add_argument("--p", type=_prime, required=True, help="the prime")
     pc.add_argument("--n", type=_positive_int, default=None, help="ambient variable count (optional)")
     pc.add_argument("--predicate", required=True, choices=PREDICATES)
-    pc.add_argument("--a", type=_non_negative_int, default=0, help="row bound for --predicate bounded")
-    pc.add_argument("--b", type=_non_negative_int, default=0, help="column bound for --predicate bounded")
+    pc.add_argument("--a", type=_non_negative_int, default=None, help="row bound for --predicate bounded (default 0)")
+    pc.add_argument("--b", type=_non_negative_int, default=None, help="column bound for --predicate bounded (default 0)")
     _output_options(pc)
 
 
@@ -363,7 +363,9 @@ def _dispatch(args) -> int:
         lam = _parse_partition(args.partition)
         if args.n is not None and len(lam) > args.n:
             raise SchurkitError(f"partition {args.partition} has more than --n {args.n} parts")
-        value, witness = PREDICATES[args.predicate](lam, args.p, args.a, args.b)
+        if args.predicate != "bounded" and (stray := [f"--{f}" for f in ("a", "b") if getattr(args, f) is not None]):
+            raise SchurkitError(f"--predicate {args.predicate} takes no {', '.join(stray)}")
+        value, witness = PREDICATES[args.predicate](lam, args.p, args.a or 0, args.b or 0)
         doc = {
             "partition": list(lam),
             "p": args.p,

@@ -452,7 +452,6 @@ class SimpleTable:
         self.cache: dict[Partition, SymChar] = {}
         self.hits = 0
         self.misses = 0
-        self.max_weight_dim = 0
         self.dims: dict[Partition, int] = {}  # largest weight space of each character computed here
         self.path = None if cache_dir is None else os.path.join(cache_dir, f"simple_p{p}_n{n}.jsonl")
         if self.path is not None and os.path.exists(self.path):
@@ -473,7 +472,6 @@ class SimpleTable:
         chi, dim = self._derived(lam) or _simple_char_by_gram(lam, self.p, self.n, self.budget)
         self.cache[lam] = chi
         self.dims[lam] = dim
-        self.max_weight_dim = max(self.max_weight_dim, dim)
         return chi
 
     def _derived(self, lam: Partition) -> Optional[tuple[SymChar, int]]:
@@ -514,7 +512,7 @@ class SimpleTable:
         return {
             "cacheHits": self.hits,
             "cacheMisses": self.misses,
-            "maxWeightSpaceDim": self.max_weight_dim,
+            "maxWeightSpaceDim": max(self.dims.values(), default=0),
             "cachedCharacters": len(self.cache),
         }
 
@@ -612,8 +610,6 @@ def decompose_simples(chi: SymChar, table: SimpleTable) -> dict:
     while residual:
         lam = max(residual)
         m = residual.pop(lam)
-        if m == 0:
-            continue
         if m < 0:
             raise NegativeResidual(f"coefficient {m} at {lam}")
         out[lam] = m

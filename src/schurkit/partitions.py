@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -165,9 +166,10 @@ def is_prime(n: int) -> bool:
 class PAdicDigits:
     """Expansion lam = sum_i p^i * digits[i] with every digit restricted.
 
-    Computed from the successive differences of lam: each difference is
-    expanded in base p, and digit i is the partition whose differences are
-    the base-p digits of weight p^i.  Entrywise base-p digits of the parts
+    Read from the successive differences of lam, the last part included:
+    their residues mod p are the differences of digit 0, and their
+    quotients by p are the differences of the rest, which is divided in
+    turn until every difference is 0.  Entrywise base-p digits of the parts
     themselves need not be partitions; differences always are, and this
     choice makes the expansion unique.
     """
@@ -176,35 +178,26 @@ class PAdicDigits:
     prime: int
 
 
+def _from_differences(diffs: Sequence[int]) -> Partition:
+    """The partition whose successive differences, the last part included, are diffs."""
+    parts = list(accumulate(reversed(diffs)))[::-1]
+    while parts and not parts[-1]:
+        parts.pop()
+    return tuple(parts)
+
+
+def restricted_split(lam: Partition, p: int) -> tuple[Partition, Partition]:
+    """Split lam = lam0 + p*lambar with lam0 the restricted digit."""
+    diffs = [x - y for x, y in zip(lam, (*lam[1:], 0))]
+    return _from_differences([d % p for d in diffs]), _from_differences([d // p for d in diffs])
+
+
 def p_adic_digits(lam: Partition, p: int) -> PAdicDigits:
     """Unique expansion of lam into restricted digits of weight p^i."""
-    if not lam:
-        return PAdicDigits((), p)
-    diffs = [lam[i] - (lam[i + 1] if i + 1 < len(lam) else 0) for i in range(len(lam))]
-    ndig = 1
-    for d in diffs:
-        k = 1
-        while p**k <= d:
-            k += 1
-        ndig = max(ndig, k)
-    digit_diffs = [[0] * len(lam) for _ in range(ndig)]
-    for i, d in enumerate(diffs):
-        j = 0
-        while d:
-            digit_diffs[j][i] = d % p
-            d //= p
-            j += 1
     digits = []
-    for dd in digit_diffs:
-        parts = []
-        total = 0
-        for c in reversed(dd):
-            total += c
-            parts.append(total)
-        parts.reverse()
-        digits.append(partition(parts))
-    while digits and not digits[-1]:
-        digits.pop()
+    while lam:
+        digit, lam = restricted_split(lam, p)
+        digits.append(digit)
     return PAdicDigits(tuple(digits), p)
 
 
@@ -214,14 +207,6 @@ def recombine(digits: Sequence[Partition], p: int) -> Partition:
     for i, d in enumerate(digits):
         out = add(out, tuple(x * p**i for x in d))
     return out
-
-
-def restricted_split(lam: Partition, p: int) -> tuple[Partition, Partition]:
-    """Split lam = lam0 + p*lambar with lam0 the restricted digit."""
-    d = p_adic_digits(lam, p).digits
-    lam0 = d[0] if d else ()
-    lambar = recombine(d[1:], p)
-    return lam0, lambar
 
 
 # --- p-cores -----------------------------------------------------------------

@@ -16,6 +16,8 @@ from schurkit.classify import (
     is_2special,
     is_beginning_term,
     is_critical_n3,
+    is_end_term,
+    is_middle_term,
     is_standard,
     primitive_index,
     specht_d_lower,
@@ -27,6 +29,7 @@ from schurkit.errors import LengthExceedsN, NotRegular, NotRestricted, PrimeTooS
 from schurkit.partitions import (
     is_restricted,
     omega,
+    p_adic_digits,
     partition,
     partitions_up_to,
     subtract,
@@ -90,12 +93,12 @@ def test_2special_restricted_matches_brute_search(p):
     # restricted 2-special = (p-2)^k a b or a sum of two 1-special partitions;
     # sums with no (p-1)-part fall inside the (p-2)^k a b shape, so the union
     # must agree with the direct search over first summands
-    from schurkit.classify import _is_beginning_shape, _matches_two_ones_sum
+    from schurkit.classify import _matches_two_ones_sum
 
     for lam in partitions_up_to(14):
         if is_restricted(lam, p):
-            got = _is_beginning_shape(lam, p) or _matches_two_ones_sum(lam, p)
-            want = _is_beginning_shape(lam, p) or brute_sum_of_two_1special(lam, p)
+            got = is_beginning_term(lam, p) or _matches_two_ones_sum(lam, p)
+            want = is_beginning_term(lam, p) or brute_sum_of_two_1special(lam, p)
             assert got == want, lam
             assert is_2special(lam, p) == want or not lam
 
@@ -177,6 +180,29 @@ def test_primitive_index_examples():
     assert primitive_index((2, 2, 2), 3) == 0
     assert primitive_index((2, 2, 2), 5) is None
     assert primitive_index((), 5) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_term_rules_match_their_literal_definitions(p):
+    # end and middle terms by the column-removal scan lam - omega(r), r >= 1;
+    # the primitive index by the digit chain: beginning, middles, end
+    for lam in partitions_up_to(18):
+        below = [mu for r in range(1, len(lam) + 1) if (mu := subtract(lam, omega(r))) is not None]
+        end = is_restricted(lam, p) and not is_2special(lam, p) and any(is_2special(mu, p) for mu in below)
+        middle = not is_beginning_term(lam, p) and any(is_beginning_term(mu, p) for mu in below)
+        assert (is_end_term(lam, p), is_middle_term(lam, p)) == (end, middle), lam
+        digits = p_adic_digits(lam, p).digits
+        if len(digits) <= 1:
+            index = 0 if is_2special(lam, p) else None
+        elif (
+            is_beginning_term(digits[0], p)
+            and all(is_middle_term(d, p) for d in digits[1:-1])
+            and is_end_term(digits[-1], p)
+        ):
+            index = len(digits) - 1
+        else:
+            index = None
+        assert primitive_index(lam, p) == index, lam
 
 
 def test_standard_parse_examples():

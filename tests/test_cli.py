@@ -71,8 +71,8 @@ STANDARD = [
     False,
     [True, {"blocks": []}],
 ]
-# classify --p 3 --a 1 --b 2 on each of PARTITIONS: the value, [value, witness]
-# when there is a witness, or the exit code of a rejected request
+# classify --p 3 (and --a 1 --b 2 for bounded) on each of PARTITIONS: the value,
+# [value, witness] when there is a witness, or the exit code of a rejected request
 CLASSIFIED = {
     "restricted": [False, True, True, False, True, True],
     "bounded": [False, True, False, True, True, True],
@@ -104,8 +104,9 @@ def test_every_predicate_classifies_as_before(capsys):
     assert list(CLASSIFIED) == list(cli.PREDICATES)  # and so the help order
     for predicate, expected in CLASSIFIED.items():
         got = []
+        bounds = ["--a", "1", "--b", "2"] if predicate == "bounded" else []
         for lam in PARTITIONS:
-            code, out, _ = run_cli(capsys, "classify", lam, "--p", "3", "--predicate", predicate, "--a", "1", "--b", "2")
+            code, out, _ = run_cli(capsys, "classify", lam, "--p", "3", "--predicate", predicate, *bounds)
             if code:
                 got.append(f"exit {code}")
                 continue
@@ -113,6 +114,15 @@ def test_every_predicate_classifies_as_before(capsys):
             assert doc["partition"] == json.loads(lam) and doc["p"] == 3 and doc["predicate"] == predicate
             got.append([doc["value"], doc["witness"]] if "witness" in doc else doc["value"])
         assert got == expected, predicate
+
+
+def test_bounds_need_the_bounded_predicate(capsys):
+    for flags, named in ((["--a", "7", "--b", "9"], "--a, --b"), (["--a", "0"], "--a"), (["--b", "1"], "--b")):
+        code, out, err = run_cli(capsys, "classify", "[2,1]", "--p", "3", "--predicate", "2special", *flags)
+        assert code == 2 and out == "" and f"--predicate 2special takes no {named}" in err
+    # bounded reads an omitted bound as 0
+    assert json.loads(run_cli(capsys, "classify", "[2,1]", "--p", "3", "--predicate", "bounded", "--b", "2")[1])["value"]
+    assert not json.loads(run_cli(capsys, "classify", "[2,1]", "--p", "3", "--predicate", "bounded")[1])["value"]
 
 
 def test_parse_subcommand(capsys):

@@ -144,15 +144,21 @@ def _all_restricted_digit_splits(lam, p):
     return count
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_p_adic_digits_roundtrip_and_uniqueness(p):
-    for lam in partitions_up_to(14):
+    # restricted digits that recombine to lam are unique, so the round trip
+    # fixes the expansion; the 3-row partitions with parts up to 300 have
+    # differences of several base-p digits
+    rng = random.Random(p)
+    rows = [tuple(sorted((rng.randint(0, 300) for _ in range(3)), reverse=True)) for _ in range(300)]
+    for lam in [*partitions_up_to(14), *map(partition, rows)]:
         dg = p_adic_digits(lam, p)
         assert recombine(dg.digits, p) == lam
         for d in dg.digits:
             assert is_restricted(d, p)
         if dg.digits:
             assert dg.digits[-1] != ()
+        assert restricted_split(lam, p) == (dg.digits[0] if dg.digits else (), recombine(dg.digits[1:], p))
 
 
 @pytest.mark.parametrize("p", [2, 3])
