@@ -29,6 +29,7 @@ from .partitions import (
     p_adic_digits,
     partition,
     recombine,
+    removable_nodes,
     restricted_split,
     subtract,
     transpose,
@@ -99,12 +100,20 @@ def is_2special(lam: Partition, p: int) -> bool:
 
 
 def _omega_candidates(lam):
-    """Each (mu, s) with lam = mu + omega_s, s = 0 first."""
+    """Each (mu, s) with lam = mu + omega_s, s = 0 first and s increasing.
+
+    For 1 <= s <= len(lam), lam - omega_s lowers rows 1..s by one.  Every
+    such row has lam_i >= 1, and the rows above s stay weakly decreasing, so
+    the difference is a partition exactly when lam_s - 1 >= lam_{s+1}
+    (lam_{len+1} = 0), i.e. when row s ends in a removable node.  So only the
+    rows of removable_nodes are tried, top to bottom; the last row is always
+    one of them.  The scan costs O(len(lam)) per corner, not per row.
+    """
     yield lam, 0
-    for r in range(1, len(lam) + 1):
-        mu = subtract(lam, omega(r))
-        if mu is not None:
-            yield mu, r
+    for s, _ in removable_nodes(lam):
+        # rows of length 1 above a corner occur only when s is the last row,
+        # and lowering them leaves trailing zeros, which are dropped
+        yield tuple(x - 1 for x in lam[:s] if x > 1) + lam[s:], s
 
 
 def two_one_special_witness(lam: Partition, p: int) -> Optional[tuple[Partition, int]]:

@@ -1,11 +1,16 @@
+import functools
+import random
+
 import pytest
 
+from schurkit import classify
 from schurkit.classify import (
     BEGINNING,
     END,
     MIDDLE,
     RESTRICTED_2SPECIAL,
     ParseBlock,
+    _omega_candidates,
     classify_term,
     divisibility_index_n3,
     g1_inj_n3,
@@ -27,6 +32,7 @@ from schurkit.classify import (
 )
 from schurkit.errors import LengthExceedsN, NotRegular, NotRestricted, PrimeTooSmall
 from schurkit.partitions import (
+    is_regular,
     is_restricted,
     omega,
     p_adic_digits,
@@ -125,6 +131,42 @@ def test_21special_witness_reconstructs():
                 mu, s = w
                 assert is_2special(mu, p)
                 assert subtract(lam, omega(s)) == mu
+
+
+@functools.cache
+def full_column_scan(lam):
+    """Each (mu, r) with lam = mu + omega_r, trying every r in turn."""
+    below = tuple((mu, r) for r in range(1, len(lam) + 1) if (mu := subtract(lam, omega(r))) is not None)
+    return ((lam, 0),) + below
+
+
+# classify-stream's 3-row requests (parts up to 300) and their transposes,
+# the long columns that specht_d_upper searches
+_rng = random.Random("omega-candidates")
+THREE_ROWS = [partition(sorted((_rng.randint(0, 300) for _ in range(3)), reverse=True)) for _ in range(300)]
+LONG_COLUMNS = [transpose(lam) for lam in THREE_ROWS]
+
+
+def test_omega_candidates_are_the_full_column_scan():
+    for lam in [*partitions_up_to(20), *LONG_COLUMNS]:
+        assert tuple(_omega_candidates(lam)) == full_column_scan(lam), lam
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_column_searches_match_the_full_scan(p, monkeypatch):
+    def answers(lam):
+        out = [two_one_special_witness(lam, p), is_middle_term(lam, p), is_end_term(lam, p)]
+        if is_regular(lam, p):
+            out.append(specht_d_upper(lam, p))
+        if p > 2 and is_restricted(lam, p):
+            out.append(is_21good_piecewise(lam, p))
+        return out
+
+    sample = [*partitions_up_to(12), *THREE_ROWS, *LONG_COLUMNS]
+    corners = [answers(lam) for lam in sample]
+    monkeypatch.setattr(classify, "_omega_candidates", full_column_scan)
+    for lam, got in zip(sample, corners):
+        assert got == answers(lam), lam
 
 
 def test_piecewise_examples():
