@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import LengthExceedsN, NoCriticalAncestor, NotRegular, NotRestricted, PrimeTooSmall
+from .errors import LengthExceedsN, NotRegular, NotRestricted, PrimeTooSmall
 from .partitions import (
     Partition,
     is_regular,
@@ -345,14 +345,20 @@ def is_critical_n3(lam: Partition, p: int) -> bool:
 
 
 def divisibility_index_n3(lam: Partition, p: int) -> int:
-    """Least j >= 0 with lam - j*omega_3 critical; j never exceeds lam_3."""
+    """Least j >= 0 with lam - j*omega_3 critical.
+
+    j never exceeds lam_3: lam - lam_3*omega_3 has at most two rows, and every
+    (a, b) is 2-good, because L(a, b) is the socle of the induced module
+    nabla(a, b), a section of the good filtration of S^a E (x) S^b E.  So only
+    j < lam_3 is tested.
+    """
     _require_len3(lam)
     top = lam[2] if len(lam) == 3 else 0
-    for j in range(top + 1):
+    for j in range(top):
         mu = partition(x - j for x in lam) if j else lam
         if is_critical_n3(mu, p):
             return j
-    raise NoCriticalAncestor(f"no critical partition below {lam} within {top} column removals")
+    return top
 
 
 def g1_inj_n3(lam: Partition, p: int) -> bool:

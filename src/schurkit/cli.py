@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: classify, parse, chars, oracle, verify, enumerate.  Each
-invocation writes exactly one JSON document (or CSV table) to stdout;
-diagnostics go to stderr.  Exit codes: 0 success or suite pass, 1 suite
-fail, 2 usage or input error, 3 resource budget exceeded.
+Subcommands: classify, parse, chars, oracle, enumerate, verify.  Each is one
+entry of COMMANDS: a handler registered with its arguments, which returns the
+invocation's one JSON document.  `main` writes it to stdout (or a CSV table);
+diagnostics go to stderr.  Exit codes: 0 success or suite pass, 1 when the
+document's verdict is "fail" (only verify reports carry one), 2 usage or
+input error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -72,9 +74,8 @@ def _standard(lam, p, a, b):
 
 
 def _critical(lam, p, a, b):
-    if len(lam) > 3:
-        raise SchurkitError("critical is defined for at most three rows")
-    return _standard(lam, p, a, b)
+    # is_critical_n3 owns the three-row rule, and so rejects a fourth row as divind and g1inj do
+    return cls.is_critical_n3(lam, p), _standard(lam, p, a, b)[1]
 
 
 def _21special(lam, p, a, b):
@@ -151,16 +152,11 @@ def _to_csv(doc) -> str:
         for lam in doc["factors"]:
             lines.append(f"{doc.get('degree','')},{_csv_cell(lam)}")
         return "\n".join(lines)
-    if "factors" in doc:
-        lines.append("partition,multiplicity")
-        for k, v in doc["factors"].items():
-            lines.append(f"{_csv_cell(k)},{v}")
-        return "\n".join(lines)
-    if "schur" in doc:
-        lines.append("partition,coefficient")
-        for k, v in doc["schur"].items():
-            lines.append(f"{_csv_cell(k)},{v}")
-        return "\n".join(lines)
+    for key, column in (("factors", "multiplicity"), ("schur", "coefficient")):
+        if key in doc:
+            lines.append(f"partition,{column}")
+            lines.extend(f"{_csv_cell(k)},{v}" for k, v in doc[key].items())
+            return "\n".join(lines)
     # generic single-record fallback
     keys = list(doc)
     lines.append(",".join(keys))
@@ -168,16 +164,17 @@ def _to_csv(doc) -> str:
     return "\n".join(lines)
 
 
-# subcommand name -> (add_parser keywords, function adding its arguments), in help order
+# subcommand name -> (add_parser keywords, function adding its arguments,
+# handler from the parsed arguments to the output document), in help order
 COMMANDS: dict = {}
 
 
-def _command(name: str, **parser_kwargs):
-    """Register the decorated function as the argument builder of `name`."""
+def _command(name: str, add_arguments, **parser_kwargs):
+    """Register the decorated function as the handler of `name`, with its arguments."""
 
-    def register(add_arguments):
-        COMMANDS[name] = (parser_kwargs, add_arguments)
-        return add_arguments
+    def register(handler):
+        COMMANDS[name] = (parser_kwargs, add_arguments, handler)
+        return handler
     return register
 
 
@@ -193,17 +190,14 @@ def _table_options(parser, cache_help=None) -> None:
     _output_options(parser)
 
 
-@_command(
-    "classify",
-    help="evaluate a classification predicate on one partition",
-    description=(
-        "Evaluate one predicate on one partition: membership tests for factors "
-        "of truncated/full symmetric-power products (1special, 2special, "
-        "21special, standard/2good), digit-chain roles (beginning, middle, end, "
-        "primitive), three-row criticality, divisibility index and first-kernel "
-        "injectivity, and the two Specht-module corollaries."
-    ),
-)
+def _table_keywords(args) -> dict:
+    """The SimpleTable keywords of --cache (or SCHURKIT_CACHE) and --budget."""
+    keywords = {"cache_dir": args.cache or os.environ.get("SCHURKIT_CACHE")}
+    if args.budget is not None:
+        keywords["budget"] = args.budget
+    return keywords
+
+
 def _classify_arguments(pc) -> None:
     pc.add_argument("partition", help="JSON array, e.g. \"[7,4,3]\"")
     pc.add_argument("--p", type=_prime, required=True, help="the prime")
@@ -215,7 +209,39 @@ def _classify_arguments(pc) -> None:
 
 
 @_command(
+    "classify",
+    _classify_arguments,
+    help="evaluate a classification predicate on one partition",
+    description=(
+        "Evaluate one predicate on one partition: membership tests for factors "
+        "of truncated/full symmetric-power products (1special, 2special, "
+        "21special, standard/2good), digit-chain roles (beginning, middle, end, "
+        "primitive), three-row criticality, divisibility index and first-kernel "
+        "injectivity, and the two Specht-module corollaries."
+    ),
+)
+def _classify(args) -> dict:
+    lam = _parse_partition(args.partition)
+    if args.n is not None and len(lam) > args.n:
+        raise SchurkitError(f"partition {args.partition} has more than --n {args.n} parts")
+    if args.predicate != "bounded" and (stray := [f"--{f}" for f in ("a", "b") if getattr(args, f) is not None]):
+        raise SchurkitError(f"--predicate {args.predicate} takes no {', '.join(stray)}")
+    value, witness = PREDICATES[args.predicate](lam, args.p, args.a or 0, args.b or 0)
+    doc = {"partition": list(lam), "p": args.p, "predicate": args.predicate, "value": value}
+    if witness is not None:
+        doc["witness"] = witness
+    return doc
+
+
+def _parse_arguments(pp) -> None:
+    pp.add_argument("partition")
+    pp.add_argument("--p", type=_prime, required=True)
+    _output_options(pp)
+
+
+@_command(
     "parse",
+    _parse_arguments,
     help="decompose a partition into shifted primitive blocks",
     description=(
         "Write the partition as a chain of shifted primitive partitions (the "
@@ -223,13 +249,17 @@ def _classify_arguments(pc) -> None:
         "a factor of the twofold symmetric power, and the chain is unique."
     ),
 )
-def _parse_arguments(pp) -> None:
-    pp.add_argument("partition")
-    pp.add_argument("--p", type=_prime, required=True)
-    _output_options(pp)
+def _parse(args) -> dict:
+    lam = _parse_partition(args.partition)
+    parses = cls.standard_parses(lam, args.p)
+    return {
+        "partition": list(lam),
+        "p": args.p,
+        "standard": bool(parses),
+        "blocks": _blocks(parses[0]) if parses else None,
+    }
 
 
-@_command("chars", help="symmetric character arithmetic")
 def _chars_arguments(ch) -> None:
     cd = ch.add_subparsers(dest="chars_command", required=True).add_parser(
         "decompose",
@@ -241,7 +271,15 @@ def _chars_arguments(ch) -> None:
     _output_options(cd)
 
 
-@_command("oracle", help="brute-force composition factors")
+@_command("chars", _chars_arguments, help="symmetric character arithmetic")
+def _chars(args) -> dict:
+    try:
+        chi = char_from_expr(args.expr, args.n)
+    except ValueError as exc:
+        raise SchurkitError(str(exc)) from exc
+    return {"schur": {_pkey(lam): c for lam, c in sorted(decompose_schur(chi).items(), reverse=True)}}
+
+
 def _oracle_arguments(orc) -> None:
     of = orc.add_subparsers(dest="oracle_command", required=True).add_parser(
         "factors",
@@ -258,14 +296,23 @@ def _oracle_arguments(orc) -> None:
     _table_options(of, cache_help="cache directory (or SCHURKIT_CACHE)")
 
 
-@_command(
-    "enumerate",
-    help="all factor labels of a family at one degree",
-    description=(
-        "Union of composition-factor sets over all degree splits of a family: "
-        "SS (symmetric x symmetric), SbarSbar, SbarSbarWedge, Sbar, S."
-    ),
-)
+@_command("oracle", _oracle_arguments, help="brute-force composition factors")
+def _oracle(args) -> dict:
+    spec = []
+    for item in args.spec.split(","):
+        kind, _, r = item.strip().partition(":")
+        if kind not in ("S", "Sbar", "Wedge") or not r.isdigit():
+            raise SchurkitError(f"bad factor spec {item!r}; expected Kind:degree")
+        spec.append((kind, int(r)))
+    with SimpleTable(args.p, args.n, **_table_keywords(args)) as table:  # persists also after a budget trip
+        chi = product_char(spec, table.p, table.n)
+        factors = decompose_simples(chi, table)
+        return {
+            "factors": {_pkey(lam): m for lam, m in sorted(factors.items(), reverse=True)},
+            "dimCheck": factor_dimensions_check(factors, chi, table),
+        }
+
+
 def _enumerate_arguments(en) -> None:
     en.add_argument("--family", required=True, choices=FAMILIES)
     en.add_argument("--p", type=_prime, required=True)
@@ -275,16 +322,26 @@ def _enumerate_arguments(en) -> None:
 
 
 @_command(
-    "verify",
-    help="run a theorem suite against the oracle",
+    "enumerate",
+    _enumerate_arguments,
+    help="all factor labels of a family at one degree",
     description=(
-        "Suites: thm-2good (factors of the twofold symmetric power are the "
-        "standard partitions), thm-21special (factors of truncated x truncated "
-        "x exterior are the mu + omega_s partitions), 1special (truncated-power "
-        "baseline), combinatorial (structural identities), oracle-self "
-        "(internal audits).  Exit code 0 iff every report passes."
+        "Union of composition-factor sets over all degree splits of a family: "
+        "SS (symmetric x symmetric), SbarSbar, SbarSbarWedge, Sbar, S."
     ),
 )
+def _enumerate(args) -> dict:
+    with SimpleTable(args.p, args.n, **_table_keywords(args)) as table:
+        labels = enumerate_factors(args.family, args.degree, table)
+    return {
+        "family": args.family,
+        "p": args.p,
+        "n": args.n,
+        "degree": args.degree,
+        "factors": [list(lam) for lam in sorted(labels, reverse=True)],
+    }
+
+
 def _verify_arguments(ve) -> None:
     ve.add_argument("--suite", choices=sorted(verify.SUITES), default=None)
     ve.add_argument("--tier", choices=("fast", "extended"), default=None)
@@ -322,6 +379,28 @@ def _verify_grid(args) -> dict:
     return {args.suite: [tuple(values[name] for name in params if name in given)]}
 
 
+@_command(
+    "verify",
+    _verify_arguments,
+    help="run a theorem suite against the oracle",
+    description=(
+        "Suites: thm-2good (factors of the twofold symmetric power are the "
+        "standard partitions), thm-21special (factors of truncated x truncated "
+        "x exterior are the mu + omega_s partitions), 1special (truncated-power "
+        "baseline), combinatorial (structural identities), oracle-self "
+        "(internal audits).  Exit code 0 iff every report passes."
+    ),
+)
+def _verify(args) -> dict:
+    reports = verify.run(_verify_grid(args), **_table_keywords(args))
+    if len(reports) == 1:
+        return reports[0].to_dict()
+    return {
+        "reports": [r.to_dict() for r in reports],
+        "verdict": "pass" if all(r.verdict for r in reports) else "fail",
+    }
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The schurkit argument parser.  With `command`, a key of COMMANDS, only that
     subcommand is added, and its argument lists parse as in the full parser."""
@@ -338,7 +417,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else (command,):
-        parser_kwargs, add_arguments = COMMANDS[name]
+        parser_kwargs, add_arguments, _ = COMMANDS[name]
         add_arguments(sub.add_parser(name, **parser_kwargs))
     return ap
 
@@ -349,105 +428,15 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return _dispatch(args)
+        doc = COMMANDS[args.command][2](args)
     except ResourceBudgetExceeded as exc:
         print(f"schurkit: resource budget exceeded: {exc}", file=sys.stderr)
         return 3
     except SchurkitError as exc:
         print(f"schurkit: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "classify":
-        lam = _parse_partition(args.partition)
-        if args.n is not None and len(lam) > args.n:
-            raise SchurkitError(f"partition {args.partition} has more than --n {args.n} parts")
-        if args.predicate != "bounded" and (stray := [f"--{f}" for f in ("a", "b") if getattr(args, f) is not None]):
-            raise SchurkitError(f"--predicate {args.predicate} takes no {', '.join(stray)}")
-        value, witness = PREDICATES[args.predicate](lam, args.p, args.a or 0, args.b or 0)
-        doc = {
-            "partition": list(lam),
-            "p": args.p,
-            "predicate": args.predicate,
-            "value": value,
-        }
-        if witness is not None:
-            doc["witness"] = witness
-        _emit(doc, args)
-        return 0
-
-    if args.command == "parse":
-        lam = _parse_partition(args.partition)
-        parses = cls.standard_parses(lam, args.p)
-        doc = {
-            "partition": list(lam),
-            "p": args.p,
-            "standard": bool(parses),
-            "blocks": _blocks(parses[0]) if parses else None,
-        }
-        _emit(doc, args)
-        return 0
-
-    if args.command == "chars":
-        try:
-            chi = char_from_expr(args.expr, args.n)
-        except ValueError as exc:
-            raise SchurkitError(str(exc)) from exc
-        schur = decompose_schur(chi)
-        doc = {"schur": {_pkey(lam): c for lam, c in sorted(schur.items(), reverse=True)}}
-        _emit(doc, args)
-        return 0
-
-    # the remaining subcommands are oracle-backed and share these settings
-    table_options = {"cache_dir": args.cache or os.environ.get("SCHURKIT_CACHE")}
-    if args.budget is not None:
-        table_options["budget"] = args.budget
-
-    if args.command == "oracle":
-        spec = []
-        for item in args.spec.split(","):
-            kind, _, r = item.strip().partition(":")
-            if kind not in ("S", "Sbar", "Wedge") or not r.isdigit():
-                raise SchurkitError(f"bad factor spec {item!r}; expected Kind:degree")
-            spec.append((kind, int(r)))
-        with SimpleTable(args.p, args.n, **table_options) as table:  # persists also after a budget trip
-            chi = product_char(spec, table.p, table.n)
-            factors = decompose_simples(chi, table)
-            doc = {
-                "factors": {_pkey(lam): m for lam, m in sorted(factors.items(), reverse=True)},
-                "dimCheck": factor_dimensions_check(factors, chi, table),
-            }
-        _emit(doc, args)
-        return 0
-
-    if args.command == "enumerate":
-        with SimpleTable(args.p, args.n, **table_options) as table:
-            labels = enumerate_factors(args.family, args.degree, table)
-        doc = {
-            "family": args.family,
-            "p": args.p,
-            "n": args.n,
-            "degree": args.degree,
-            "factors": [list(lam) for lam in sorted(labels, reverse=True)],
-        }
-        _emit(doc, args)
-        return 0
-
-    if args.command == "verify":
-        reports = verify.run(_verify_grid(args), **table_options)
-        doc = (
-            reports[0].to_dict()
-            if len(reports) == 1
-            else {
-                "reports": [r.to_dict() for r in reports],
-                "verdict": "pass" if all(r.verdict for r in reports) else "fail",
-            }
-        )
-        _emit(doc, args)
-        return 0 if all(r.verdict for r in reports) else 1
-
-    raise SchurkitError(f"unknown command {args.command!r}")
+    _emit(doc, args)
+    return 1 if doc.get("verdict") == "fail" else 0
 
 
 if __name__ == "__main__":

@@ -45,10 +45,6 @@ class PrimeTooSmall(SchurkitError, ValueError):
     """The piecewise first-row classification is only stated for p > 2."""
 
 
-class NoCriticalAncestor(SchurkitError, ValueError):
-    """No column subtraction within the search window reaches a critical partition."""
-
-
 class VariableCountMismatch(SchurkitError, ValueError):
     """Characters live in different numbers of variables."""
 

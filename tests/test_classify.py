@@ -351,6 +351,15 @@ def test_divisibility_index():
     assert divisibility_index_n3((2, 2, 2), 5) == 2
 
 
+def test_two_row_partitions_are_2good():
+    # why divisibility_index_n3 stops at lam_3 without testing it: lam - lam_3*omega_3
+    # has at most two rows, and L(a, b) is the socle of nabla(a, b), a good-filtration
+    # section of S^a E (x) S^b E
+    for p in (2, 3, 5, 7):
+        for lam in partitions_up_to(40, max_len=2):
+            assert is_2good(lam, p), (lam, p)
+
+
 def test_g1_injectivity():
     assert g1_inj_n3((4, 2), 3)  # restricted digit hits the 2p-2 band
     assert not g1_inj_n3((4,), 3)  # quotient column is critical

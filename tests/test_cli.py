@@ -116,6 +116,15 @@ def test_every_predicate_classifies_as_before(capsys):
         assert got == expected, predicate
 
 
+def test_three_row_predicates_reject_a_fourth_row_alike(capsys):
+    errors = set()
+    for predicate in ("critical", "divind", "g1inj"):
+        code, out, err = run_cli(capsys, "classify", "[5,4,3,1]", "--p", "3", "--predicate", predicate)
+        assert code == 2 and out == "" and "more than 3 parts" in err, predicate
+        errors.add(err)
+    assert len(errors) == 1
+
+
 def test_bounds_need_the_bounded_predicate(capsys):
     for flags, named in ((["--a", "7", "--b", "9"], "--a, --b"), (["--a", "0"], "--a"), (["--b", "1"], "--b")):
         code, out, err = run_cli(capsys, "classify", "[2,1]", "--p", "3", "--predicate", "2special", *flags)
@@ -209,6 +218,18 @@ def test_verify_suite_writes_report(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["verdict"] == "pass"
     assert json.loads(out) == doc
+
+
+def test_failing_suite_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "is_1special", lambda lam, p: not lam)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "1special", "--p", "3", "--n", "2", "--rmax", "4")
+    doc = json.loads(out)
+    assert code == 1 and doc["suite"] == "1special" and doc["verdict"] == "fail"
+    monkeypatch.setattr(verify, "FAST_TIER", {"1special": [(3, 2, 4)], "combinatorial": [(2, 4)]})
+    code, out, _ = run_cli(capsys, "verify", "--tier", "fast")
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "fail"
+    assert [r["verdict"] for r in doc["reports"]] == ["fail", "pass"]
 
 
 def test_verify_combinatorial_cli(capsys):
