@@ -20,7 +20,7 @@ from . import classify as cls
 from . import verify
 from .characters import char_from_expr, decompose_schur
 from .errors import ResourceBudgetExceeded, SchurkitError
-from .oracle import FAMILIES, SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check, product_char
+from .oracle import FAMILIES, KINDS, SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check, product_char
 from .partitions import PRIME_LIMIT, is_bounded, is_prime, is_restricted, partition
 
 
@@ -301,7 +301,7 @@ def _oracle(args) -> dict:
     spec = []
     for item in args.spec.split(","):
         kind, _, r = item.strip().partition(":")
-        if kind not in ("S", "Sbar", "Wedge") or not r.isdigit():
+        if kind not in KINDS or not r.isdecimal():
             raise SchurkitError(f"bad factor spec {item!r}; expected Kind:degree")
         spec.append((kind, int(r)))
     with SimpleTable(args.p, args.n, **_table_keywords(args)) as table:  # persists also after a budget trip

@@ -108,20 +108,29 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
-from .characters import SymChar, power_char
+from .characters import COMPLETE, EXTERIOR, TRUNCATED, SymChar, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError, VariableCountMismatch
 from .partitions import PRIME_LIMIT, Partition, is_prime, partition, transpose
 
 DEFAULT_BUDGET = 300_000
 
-S = "S"
-SBAR = "Sbar"
-WEDGE = "Wedge"
+# Factor kind -> (power_char kind, top degree at (p, n)); above it the power is
+# zero, since a weight has at most n parts, each below p for Sbar, 1 for Wedge.
+KINDS = MappingProxyType({
+    "S": (COMPLETE, lambda p, n: inf),
+    "Sbar": (TRUNCATED, lambda p, n: n * (p - 1)),
+    "Wedge": (EXTERIOR, lambda p, n: n),
+})
 
-FAMILIES = ("SS", "SbarSbar", "SbarSbarWedge", "Sbar", "S")
+# Family name -> the kinds of its factors, equal kinds next to each other.
+FAMILIES = MappingProxyType({
+    "SS": ("S", "S"), "SbarSbar": ("Sbar", "Sbar"), "SbarSbarWedge": ("Sbar", "Sbar", "Wedge"),
+    "Sbar": ("Sbar",), "S": ("S",),
+})
 
 
 @dataclass(slots=True)
@@ -630,18 +639,13 @@ def factor_dimensions_check(factors: dict, chi: SymChar, table: SimpleTable) -> 
 
 
 def product_char(spec: Iterable[tuple], p: int, n: int) -> SymChar:
-    """Character of a product of symmetric / truncated / exterior powers;
-    the empty product is the unit character."""
+    """Character of a product of powers, one (kind, degree) per factor with
+    kind in KINDS; the empty product is the unit character."""
     chi = None
     for kind, r in spec:
-        if kind == S:
-            atom = power_char("complete", r, n)
-        elif kind == SBAR:
-            atom = power_char("truncated", r, n, p=p)
-        elif kind == WEDGE:
-            atom = power_char("exterior", r, n)
-        else:
+        if kind not in KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
+        atom = power_char(KINDS[kind][0], r, n, p=p)
         chi = atom if chi is None else chi * atom
     return SymChar(n, 0, {(): 1}) if chi is None else chi
 
@@ -651,28 +655,29 @@ def composition_factors(spec: Iterable[tuple], table: SimpleTable) -> dict:
     return decompose_simples(product_char(spec, table.p, table.n), table)
 
 
-def _degree_splits(family: str, r: int, n: int):
-    if family == "SS":
-        for a in range(r // 2 + 1):
-            yield ((S, a), (S, r - a))
-    elif family == "SbarSbar":
-        for a in range(r // 2 + 1):
-            yield ((SBAR, a), (SBAR, r - a))
-    elif family == "SbarSbarWedge":
-        for c in range(min(r, n) + 1):
-            for a in range((r - c) // 2 + 1):
-                yield ((SBAR, a), (SBAR, r - c - a), (WEDGE, c))
-    elif family == "Sbar":
-        yield ((SBAR, r),)
-    elif family == "S":
-        yield ((S, r),)
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+def _degree_splits(kinds: tuple, r: int, p: int, n: int, low: int = 0) -> Iterator[tuple]:
+    """The specs ((kind, degree), ...) of kinds with degrees summing to r, the
+    first at least low, weakly increasing along each run of equal kinds, in
+    lexicographic order.  No degree is above its kind's top degree (n for
+    Wedge, n(p-1) for Sbar, none for S), where the power is zero."""
+    kind, rest = kinds[0], kinds[1:]
+    top = min(r, KINDS[kind][1](p, n))
+    if not rest:
+        if low <= r <= top:
+            yield ((kind, r),)
+        return
+    for a in range(low, top + 1):
+        for tail in _degree_splits(rest, r - a, p, n, a if rest[0] == kind else 0):
+            yield ((kind, a), *tail)
 
 
 def enumerate_factors(family: str, r: int, table: SimpleTable) -> set:
-    """Union of composition-factor sets over all degree splits of a family."""
+    """Union of composition-factor sets over the degree splits of a family in
+    degree r.  A split with a degree above its kind's top degree (n for Wedge,
+    n(p-1) for Sbar) is a zero product and is skipped."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     out: set = set()
-    for split in _degree_splits(family, r, table.n):
+    for split in _degree_splits(FAMILIES[family], r, table.p, table.n):
         out.update(composition_factors(split, table))
     return out

@@ -31,13 +31,19 @@ Partition = tuple  # weakly decreasing tuple of positive ints
 def partition(parts: Iterable[int]) -> Partition:
     """Build a partition from an iterable, stripping trailing zeros.
 
-    Raises NegativePart / InputNotWeaklyDecreasing on invalid input.
+    Raises SchurkitError on a part that is not an integer (an integral float
+    such as 3.0 is one), NegativePart / InputNotWeaklyDecreasing on invalid
+    input.
     """
     cleaned = []
     for i, x in enumerate(parts):
-        if int(x) != x:
-            raise SchurkitError(f"part {x!r} at position {i} is not an integer")
-        cleaned.append(int(x))
+        try:
+            k = int(x)
+            if k != x:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):  # also None, a list, text, inf and nan
+            raise SchurkitError(f"part {x!r} at position {i} is not an integer") from None
+        cleaned.append(k)
     parts = tuple(cleaned)
     for i, x in enumerate(parts):
         if x < 0:

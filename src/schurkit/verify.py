@@ -26,7 +26,8 @@ from .classify import (
     is_2special,
     standard_parses,
 )
-from .oracle import SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check, product_char, simple_char_defect
+from .oracle import FAMILIES, SimpleTable, _degree_splits, decompose_simples, enumerate_factors, factor_dimensions_check
+from .oracle import product_char, simple_char_defect
 from .partitions import (
     Dominance,
     add,
@@ -449,11 +450,8 @@ def _check_dimension_audit(p, n, rmax, table, bigger):
     bound = min(rmax, 8)
     yield {"p": p, "n": n, "bound": bound}
     for r in range(bound + 1):
-        for a in range(r // 2 + 1):
-            for spec in (
-                (("S", a), ("S", r - a)),
-                (("Sbar", a), ("Sbar", r - a)),
-            ):
+        for family in ("SS", "SbarSbar"):
+            for spec in _degree_splits(FAMILIES[family], r, p, n):
                 chi = product_char(spec, p, n)
                 if not factor_dimensions_check(decompose_simples(chi, table), chi, table):
                     yield {"spec": [list(t) for t in spec]}

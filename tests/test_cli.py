@@ -51,10 +51,11 @@ def test_classify_bounded_needs_a_b(capsys):
 
 
 def test_classify_parse_error_exits_2(capsys):
-    code, out, err = run_cli(capsys, "classify", "--p", "5", "[3,1,2]", "--predicate", "standard")
-    assert code == 2
-    assert out == ""
-    assert "[3,1,2]" in err
+    for text in ("[3,1,2]", '["a"]', "[null]", "[[1]]", "[1e400]", "[NaN]"):
+        code, out, err = run_cli(capsys, "classify", "--p", "5", text, "--predicate", "standard")
+        assert code == 2
+        assert out == ""
+        assert text in err
 
 
 def test_classify_divind(capsys):
@@ -185,8 +186,10 @@ def test_oracle_factors(capsys):
 
 
 def test_oracle_bad_spec(capsys):
-    code, _, err = run_cli(capsys, "oracle", "factors", "--p", "2", "--n", "3", "--spec", "Q:3")
-    assert code == 2 and "Q:3" in err
+    # "²" is a digit to str.isdigit but not to int()
+    for item in ("Q:3", "S:²"):
+        code, _, err = run_cli(capsys, "oracle", "factors", "--p", "2", "--n", "3", "--spec", item)
+        assert code == 2 and item in err
 
 
 def test_enumerate(capsys):
@@ -536,6 +539,7 @@ def test_pretty_format(capsys):
         (lambda text: text.replace('"[4]":1', '"[4]":1,"[2,2]":0'), 3),
         (lambda text: text.replace('"[3,1]":1}', '"[3,1]":2,"[3,1]":1}'), 2),
         (lambda text: text.replace('"[3,1]":1}', '"[3,1,0]":2,"[3,1]":1}'), 2),
+        (lambda text: text.replace('"[4]":1', '"[4]":1,"[1e400]":1'), 3),
     ],
     ids=[
         "truncated",
@@ -546,6 +550,7 @@ def test_pretty_format(capsys):
         "zero-coefficient",
         "duplicate-key",
         "duplicate-weight",
+        "infinite-part",
     ],
 )
 def test_bad_cache_record_exits_2(corrupt, line, tmp_path, capsys):

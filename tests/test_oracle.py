@@ -28,8 +28,10 @@ from schurkit.errors import (
 from schurkit.characters import SymChar
 from schurkit.oracle import (
     DEFAULT_BUDGET,
+    FAMILIES,
     SimpleTable,
     TensorVector,
+    _degree_splits,
     _dominated,
     _gram_rank,
     _moves,
@@ -642,7 +644,7 @@ def test_module_memos_clear_to_cold():
         ("schurkit.characters", "kostka"),
         ("schurkit.characters", "_orbit_size"),
     }
-    SimpleTable(2, 3).char((3, 2, 1))
+    SimpleTable(2, 3).char((4, 2))  # lowers by E^(2), so it fills _splits also when run alone
     product_char([("S", 2), ("S", 1)], 2, 3)
     assert _peel.cache_info().currsize > 0 and _splits.cache_info().currsize > 0
     assert _moves.cache_info().currsize > 0 and characters._orbit_size.cache_info().currsize > 0
@@ -762,6 +764,47 @@ def test_enumerate_factors_examples():
         assert enumerate_factors("SbarSbarWedge", 1, SimpleTable(p, 2)) == {(1,)}
     with pytest.raises(ValueError):
         enumerate_factors("SSS", 2, SimpleTable(2, 2))
+
+
+def _five_branch_splits(family, r, n):
+    # reference: one loop per family name, zero products included
+    if family == "SS":
+        return [(("S", a), ("S", r - a)) for a in range(r // 2 + 1)]
+    if family == "SbarSbar":
+        return [(("Sbar", a), ("Sbar", r - a)) for a in range(r // 2 + 1)]
+    if family == "SbarSbarWedge":
+        return [
+            (("Sbar", a), ("Sbar", r - c - a), ("Wedge", c)) for c in range(min(r, n) + 1) for a in range((r - c) // 2 + 1)
+        ]
+    return [((family, r),)]  # Sbar and S
+
+
+def test_degree_splits_are_the_five_branch_splits_without_zero_products():
+    # the same specs less those with a zero power, and for every family but
+    # SbarSbarWedge in the same order: it decides which of lam and its dual a
+    # table computes and which it derives
+    powers = {"S": "complete", "Sbar": "truncated", "Wedge": "exterior"}
+    zero = {}
+
+    def is_zero(kind, d, p, n):
+        if (kind, d, p, n) not in zero:
+            zero[kind, d, p, n] = not power_char(powers[kind], d, n, p=p).coeffs
+        return zero[kind, d, p, n]
+
+    kept = dropped = 0
+    for family, kinds in FAMILIES.items():
+        for p in (2, 3, 5, 7):
+            for n in range(1, 6):
+                for r in range(25):
+                    old = _five_branch_splits(family, r, n)
+                    expected = [s for s in old if not any(is_zero(kind, d, p, n) for kind, d in s)]
+                    got = list(_degree_splits(kinds, r, p, n))
+                    if family == "SbarSbarWedge":
+                        got.sort(key=lambda s: (s[2][1], s[0][1]))
+                    assert got == expected, (family, r, p, n)
+                    kept += len(got)
+                    dropped += len(old) - len(got)
+    assert (kept, dropped) == (10781, 8775)
 
 
 def test_the_table_fixes_p_and_n():
