@@ -280,19 +280,24 @@ def _chars(args) -> dict:
     return {"schur": {_pkey(lam): c for lam, c in sorted(decompose_schur(chi).items(), reverse=True)}}
 
 
+# the factor kinds and families as the help lists them, read from their tables
+_KINDS_HELP = ", ".join(f"{kind} ({power} power)" for kind, (power, _) in KINDS.items())
+_FAMILIES_HELP = ", ".join(f"{name} ({' x '.join(kinds)})" for name, kinds in FAMILIES.items())
+
+
 def _oracle_arguments(orc) -> None:
     of = orc.add_subparsers(dest="oracle_command", required=True).add_parser(
         "factors",
         help="composition factors of a product of powers",
         description=(
-            "Decompose a product such as S:4,S:3 (symmetric powers), Sbar:r "
-            "(truncated) and Wedge:r (exterior) into simple characters computed "
-            "from contravariant-form Gram ranks, with a dimension audit."
+            "Decompose a product of powers such as S:4,S:3 into simple characters "
+            "computed from contravariant-form Gram ranks, with a dimension audit. "
+            f"Kinds: {_KINDS_HELP}."
         ),
     )
     of.add_argument("--p", type=_prime, required=True)
     of.add_argument("--n", type=_positive_int, required=True)
-    of.add_argument("--spec", required=True, help='e.g. "S:4,S:3" or "Sbar:2,Wedge:1"')
+    of.add_argument("--spec", required=True, help=f'Kind:degree list, Kind one of {", ".join(KINDS)}; e.g. "S:4,Sbar:2"')
     _table_options(of, cache_help="cache directory (or SCHURKIT_CACHE)")
 
 
@@ -326,8 +331,8 @@ def _enumerate_arguments(en) -> None:
     _enumerate_arguments,
     help="all factor labels of a family at one degree",
     description=(
-        "Union of composition-factor sets over all degree splits of a family: "
-        "SS (symmetric x symmetric), SbarSbar, SbarSbarWedge, Sbar, S."
+        "Composition factors of a family's product in one degree, the union "
+        f"over its degree splits: {_FAMILIES_HELP}, with the kinds {_KINDS_HELP}."
     ),
 )
 def _enumerate(args) -> dict:

@@ -98,6 +98,22 @@ checked after each vector, so a run stops as soon as the sum passes the
 budget and before the Gram matrix is built.  The prefix vectors that the
 trie keeps are not counted, and a character shifted or mapped from its dual
 builds no vectors.
+
+Families.  A family is a tuple of factor kinds (FAMILIES), and its degree-r
+part is the sum over the splits r = a_1 + ... + a_m of the products of the
+kinds' a_i-th powers.  All the powers of one kind together have, once
+each, the weights whose coordinates are at most top, the kind's largest
+coordinate (KINDS): none for S, p - 1 for Sbar, 1 for Wedge.  So their sum
+has the character prod_j (1 + x_j + ... + x_j^top).  The sum over
+every ordered split of the family's products is the product of these, prod_j
+c(x_j) with c the convolution of the kinds' series, and its degree-r part
+has the coefficient prod_i c(nu_i) on m_nu (family_char).  An ordered split
+and its sorted form give isomorphic products, and the character of each
+product has non-negative multiplicities in the simple basis, so the simples
+of the summed character are exactly those of some split's product, the
+union that Jordan-Hoelder gives for the direct sum.  enumerate_factors
+therefore decomposes one character per degree; _degree_splits lists the
+sorted splits for the checks that need each product on its own.
 """
 
 from __future__ import annotations
@@ -114,16 +130,17 @@ from typing import Iterable, Iterator, Optional
 
 from .characters import COMPLETE, EXTERIOR, TRUNCATED, SymChar, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError, VariableCountMismatch
-from .partitions import PRIME_LIMIT, Partition, is_prime, partition, transpose
+from .partitions import PRIME_LIMIT, Partition, is_prime, partition, partitions_of, transpose
 
 DEFAULT_BUDGET = 300_000
 
-# Factor kind -> (power_char kind, top degree at (p, n)); above it the power is
-# zero, since a weight has at most n parts, each below p for Sbar, 1 for Wedge.
+# Factor kind -> (power_char kind, the largest coordinate of its weights at p):
+# none for S, p - 1 for Sbar, 1 for Wedge.  A weight has n coordinates, so above
+# n times that degree the power is zero.
 KINDS = MappingProxyType({
-    "S": (COMPLETE, lambda p, n: inf),
-    "Sbar": (TRUNCATED, lambda p, n: n * (p - 1)),
-    "Wedge": (EXTERIOR, lambda p, n: n),
+    "S": (COMPLETE, lambda p: inf),
+    "Sbar": (TRUNCATED, lambda p: p - 1),
+    "Wedge": (EXTERIOR, lambda p: 1),
 })
 
 # Family name -> the kinds of its factors, equal kinds next to each other.
@@ -658,10 +675,11 @@ def composition_factors(spec: Iterable[tuple], table: SimpleTable) -> dict:
 def _degree_splits(kinds: tuple, r: int, p: int, n: int, low: int = 0) -> Iterator[tuple]:
     """The specs ((kind, degree), ...) of kinds with degrees summing to r, the
     first at least low, weakly increasing along each run of equal kinds, in
-    lexicographic order.  No degree is above its kind's top degree (n for
-    Wedge, n(p-1) for Sbar, none for S), where the power is zero."""
+    lexicographic order.  No degree is above n times its kind's largest
+    coordinate (n for Wedge, n(p-1) for Sbar, none for S), where the power is
+    zero."""
     kind, rest = kinds[0], kinds[1:]
-    top = min(r, KINDS[kind][1](p, n))
+    top = min(r, n * KINDS[kind][1](p))
     if not rest:
         if low <= r <= top:
             yield ((kind, r),)
@@ -671,13 +689,22 @@ def _degree_splits(kinds: tuple, r: int, p: int, n: int, low: int = 0) -> Iterat
             yield ((kind, a), *tail)
 
 
-def enumerate_factors(family: str, r: int, table: SimpleTable) -> set:
-    """Union of composition-factor sets over the degree splits of a family in
-    degree r.  A split with a degree above its kind's top degree (n for Wedge,
-    n(p-1) for Sbar) is a zero product and is skipped."""
+def family_char(family: str, r: int, p: int, n: int) -> SymChar:
+    """Character of the degree-r part of a family's product, the sum over
+    every ordered split of r of the product of powers (see Families in the
+    module docstring).  Each kind is the series 1 + x + ... + x^top in one
+    coordinate, top its largest coordinate (KINDS); c is their product up to
+    x^r, and m_nu has the coefficient prod_i c(nu_i)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
-    out: set = set()
-    for split in _degree_splits(FAMILIES[family], r, table.p, table.n):
-        out.update(composition_factors(split, table))
-    return out
+    c = [1] + [0] * r
+    for kind in FAMILIES[family]:
+        top = KINDS[kind][1](p)
+        c = [sum(c[k - min(k, top) : k + 1]) for k in range(r + 1)]
+    return SymChar(n, r, {nu: prod(c[x] for x in nu) for nu in partitions_of(r, max_len=n)})
+
+
+def enumerate_factors(family: str, r: int, table: SimpleTable) -> set:
+    """The composition factors of a family in degree r: those of its summed
+    character (family_char), which are the union over its degree splits."""
+    return set(decompose_simples(family_char(family, r, table.p, table.n), table))

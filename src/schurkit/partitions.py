@@ -32,14 +32,14 @@ def partition(parts: Iterable[int]) -> Partition:
     """Build a partition from an iterable, stripping trailing zeros.
 
     Raises SchurkitError on a part that is not an integer (an integral float
-    such as 3.0 is one), NegativePart / InputNotWeaklyDecreasing on invalid
-    input.
+    such as 3.0 is one; a bool, such as a JSON true, is not), NegativePart /
+    InputNotWeaklyDecreasing on invalid input.
     """
     cleaned = []
     for i, x in enumerate(parts):
         try:
             k = int(x)
-            if k != x:
+            if k != x or isinstance(x, bool):
                 raise ValueError
         except (TypeError, ValueError, OverflowError):  # also None, a list, text, inf and nan
             raise SchurkitError(f"part {x!r} at position {i} is not an integer") from None

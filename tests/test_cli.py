@@ -51,7 +51,7 @@ def test_classify_bounded_needs_a_b(capsys):
 
 
 def test_classify_parse_error_exits_2(capsys):
-    for text in ("[3,1,2]", '["a"]', "[null]", "[[1]]", "[1e400]", "[NaN]"):
+    for text in ("[3,1,2]", '["a"]', "[null]", "[[1]]", "[1e400]", "[NaN]", "[true]", "[3,false]"):
         code, out, err = run_cli(capsys, "classify", "--p", "5", text, "--predicate", "standard")
         assert code == 2
         assert out == ""
@@ -396,6 +396,16 @@ def test_oracle_factors_builds_the_product_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv, table", [(["enumerate"], oracle.FAMILIES), (["oracle", "factors"], oracle.KINDS)])
+def test_help_lists_every_kind_and_family(argv, table, capsys):
+    # the description, not the usage line, where --family lists its choices anyway
+    with pytest.raises(SystemExit):
+        build_parser(argv[0]).parse_args(argv + ["-h"])
+    description = " ".join(capsys.readouterr().out.split("\n\n")[1].split())
+    for key in table:
+        assert re.search(rf"\b{key}\b", description), key
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--family", "SS", "--p", "2", "--n", "3", "--degree", "3", "--threads", "2"])
@@ -540,6 +550,8 @@ def test_pretty_format(capsys):
         (lambda text: text.replace('"[3,1]":1}', '"[3,1]":2,"[3,1]":1}'), 2),
         (lambda text: text.replace('"[3,1]":1}', '"[3,1,0]":2,"[3,1]":1}'), 2),
         (lambda text: text.replace('"[4]":1', '"[4]":1,"[1e400]":1'), 3),
+        (lambda text: text.replace('"lambda":[3,1]', '"lambda":[3,true]'), 2),
+        (lambda text: text.replace('"[3,1]":1}', '"[3,true]":1}'), 2),
     ],
     ids=[
         "truncated",
@@ -551,6 +563,8 @@ def test_pretty_format(capsys):
         "duplicate-key",
         "duplicate-weight",
         "infinite-part",
+        "bool-in-lambda",
+        "bool-in-weight",
     ],
 )
 def test_bad_cache_record_exits_2(corrupt, line, tmp_path, capsys):

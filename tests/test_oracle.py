@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 import sys
@@ -9,7 +10,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from schurkit import characters, oracle
+from schurkit import characters, classify, oracle
 from schurkit.characters import (
     _horizontal_strip_removals,
     decompose_schur,
@@ -44,6 +45,7 @@ from schurkit.oracle import (
     decompose_simples,
     enumerate_factors,
     factor_dimensions_check,
+    family_char,
     highest_weight_vector,
     product_char,
 )
@@ -764,6 +766,59 @@ def test_enumerate_factors_examples():
         assert enumerate_factors("SbarSbarWedge", 1, SimpleTable(p, 2)) == {(1,)}
     with pytest.raises(ValueError):
         enumerate_factors("SSS", 2, SimpleTable(2, 2))
+
+
+def test_family_char_is_the_sum_over_ordered_splits():
+    # the definition: every ordered split of r, zero powers included
+    for family, kinds in FAMILIES.items():
+        for p in (2, 3, 5):
+            for n in range(1, 5):
+                for r in range(11):
+                    total = Counter()
+                    for degrees in product(range(r + 1), repeat=len(kinds)):
+                        if sum(degrees) == r:
+                            total.update(product_char(zip(kinds, degrees), p, n).coeffs)
+                    assert family_char(family, r, p, n) == SymChar(n, r, dict(total)), (family, r, p, n)
+    with pytest.raises(ValueError):
+        family_char("SSS", 2, 2, 2)
+
+
+def test_enumerate_factors_is_the_union_over_degree_splits():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for family, kinds in FAMILIES.items():
+                tab = SimpleTable(p, n)
+                for r in range((12, 12, 10, 9)[n - 1] + 1):
+                    union = set()
+                    for split in _degree_splits(kinds, r, p, n):
+                        union.update(composition_factors(split, tab))
+                    assert enumerate_factors(family, r, tab) == union, (family, r, p, n)
+
+
+def test_enumerate_factors_reads_no_classify(monkeypatch):
+    # the oracle's answer stays independent of the closed criteria
+    tab = SimpleTable(3, 3)
+    expected = {family: [enumerate_factors(family, r, tab) for r in range(9)] for family in FAMILIES}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called classify")
+
+    for name, value in list(vars(classify).items()):
+        if not name.startswith("_") and inspect.isfunction(value):
+            monkeypatch.setattr(classify, name, forbidden)
+    fresh = SimpleTable(3, 3)
+    for family in FAMILIES:
+        assert [enumerate_factors(family, r, fresh) for r in range(9)] == expected[family], family
+
+
+def test_enumerate_factors_decomposes_one_character_per_degree(monkeypatch):
+    # a count, not a timing: one decomposition and no product of powers
+    calls = Counter()
+    real_decompose, real_product = oracle.decompose_simples, oracle.product_char
+    monkeypatch.setattr(oracle, "decompose_simples", lambda *a: calls.update(["decompose_simples"]) or real_decompose(*a))
+    monkeypatch.setattr(oracle, "product_char", lambda *a: calls.update(["product_char"]) or real_product(*a))
+    assert (6, 4, 2) in enumerate_factors("SS", 12, SimpleTable(2, 3))
+    assert calls == Counter(decompose_simples=1)
 
 
 def _five_branch_splits(family, r, n):

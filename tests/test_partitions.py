@@ -51,7 +51,7 @@ def test_construct_rejects_bad_input():
         partition([1, 2])
     with pytest.raises(NegativePart):
         partition([3, -1])
-    for bad in ([2.5], ["a"], [None], [[1]], [float("inf")], [float("nan")], ["3"]):
+    for bad in ([2.5], ["a"], [None], [[1]], [float("inf")], [float("nan")], ["3"], [True], [3, False]):
         with pytest.raises(SchurkitError, match="is not an integer"):
             partition(bad)
     assert partition([3.0, 1.0]) == (3, 1)  # integral floats from JSON are fine
