@@ -1,11 +1,15 @@
 """Command-line interface.
 
-Subcommands: classify, parse, chars, oracle, enumerate, verify.  Each is one
-entry of COMMANDS: a handler registered with its arguments, which returns the
-invocation's one JSON document.  `main` writes it to stdout (or a CSV table);
-diagnostics go to stderr.  Exit codes: 0 success or suite pass, 1 when the
-document's verdict is "fail" (only verify reports carry one), 2 usage or
-input error, 3 resource budget exceeded.
+Commands: classify, parse, chars decompose, oracle factors, enumerate,
+verify.  Each is one entry of COMMANDS, keyed by its words: a handler
+registered with its arguments, which returns the invocation's one JSON
+document.  `main` writes it to stdout (or a CSV table); diagnostics go to
+stderr.  A request builds only the parser of the command it names, whose
+help and errors are those of the full parser of `build_parser`; a request
+that names no command, or has arguments left over, is parsed by the full
+parser.  Exit codes: 0 success or suite pass, 1 when the document's verdict
+is "fail" (only verify reports carry one), 2 usage or input error, or an
+--out or --cache path that cannot be written, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -164,16 +168,18 @@ def _to_csv(doc) -> str:
     return "\n".join(lines)
 
 
-# subcommand name -> (add_parser keywords, function adding its arguments,
+# command words -> (help, parser keywords, function adding its arguments,
 # handler from the parsed arguments to the output document), in help order
 COMMANDS: dict = {}
+# the help of each group of two-word commands, the first word
+GROUPS = {"chars": "symmetric character arithmetic", "oracle": "brute-force composition factors"}
 
 
-def _command(name: str, add_arguments, **parser_kwargs):
-    """Register the decorated function as the handler of `name`, with its arguments."""
+def _command(path: tuple, add_arguments, help: str, **parser_kwargs):
+    """Register the decorated function as the handler of `path`, with its arguments."""
 
     def register(handler):
-        COMMANDS[name] = (parser_kwargs, add_arguments, handler)
+        COMMANDS[path] = (help, parser_kwargs, add_arguments, handler)
         return handler
     return register
 
@@ -209,7 +215,7 @@ def _classify_arguments(pc) -> None:
 
 
 @_command(
-    "classify",
+    ("classify",),
     _classify_arguments,
     help="evaluate a classification predicate on one partition",
     description=(
@@ -240,7 +246,7 @@ def _parse_arguments(pp) -> None:
 
 
 @_command(
-    "parse",
+    ("parse",),
     _parse_arguments,
     help="decompose a partition into shifted primitive blocks",
     description=(
@@ -260,18 +266,18 @@ def _parse(args) -> dict:
     }
 
 
-def _chars_arguments(ch) -> None:
-    cd = ch.add_subparsers(dest="chars_command", required=True).add_parser(
-        "decompose",
-        help="decompose a product of character atoms into Schur characters",
-        description="Atoms: h<r>, e<r>, sbar<r>@<p>, s[...]; operator * only.",
-    )
+def _chars_arguments(cd) -> None:
     cd.add_argument("--n", type=_positive_int, required=True)
     cd.add_argument("--expr", required=True)
     _output_options(cd)
 
 
-@_command("chars", _chars_arguments, help="symmetric character arithmetic")
+@_command(
+    ("chars", "decompose"),
+    _chars_arguments,
+    help="decompose a product of character atoms into Schur characters",
+    description="Atoms: h<r>, e<r>, sbar<r>@<p>, s[...]; operator * only.",
+)
 def _chars(args) -> dict:
     try:
         chi = char_from_expr(args.expr, args.n)
@@ -285,23 +291,23 @@ _KINDS_HELP = ", ".join(f"{kind} ({power} power)" for kind, (power, _) in KINDS.
 _FAMILIES_HELP = ", ".join(f"{name} ({' x '.join(kinds)})" for name, kinds in FAMILIES.items())
 
 
-def _oracle_arguments(orc) -> None:
-    of = orc.add_subparsers(dest="oracle_command", required=True).add_parser(
-        "factors",
-        help="composition factors of a product of powers",
-        description=(
-            "Decompose a product of powers such as S:4,S:3 into simple characters "
-            "computed from contravariant-form Gram ranks, with a dimension audit. "
-            f"Kinds: {_KINDS_HELP}."
-        ),
-    )
+def _oracle_arguments(of) -> None:
     of.add_argument("--p", type=_prime, required=True)
     of.add_argument("--n", type=_positive_int, required=True)
     of.add_argument("--spec", required=True, help=f'Kind:degree list, Kind one of {", ".join(KINDS)}; e.g. "S:4,Sbar:2"')
     _table_options(of, cache_help="cache directory (or SCHURKIT_CACHE)")
 
 
-@_command("oracle", _oracle_arguments, help="brute-force composition factors")
+@_command(
+    ("oracle", "factors"),
+    _oracle_arguments,
+    help="composition factors of a product of powers",
+    description=(
+        "Decompose a product of powers such as S:4,S:3 into simple characters "
+        "computed from contravariant-form Gram ranks, with a dimension audit. "
+        f"Kinds: {_KINDS_HELP}."
+    ),
+)
 def _oracle(args) -> dict:
     spec = []
     for item in args.spec.split(","):
@@ -327,7 +333,7 @@ def _enumerate_arguments(en) -> None:
 
 
 @_command(
-    "enumerate",
+    ("enumerate",),
     _enumerate_arguments,
     help="all factor labels of a family at one degree",
     description=(
@@ -385,7 +391,7 @@ def _verify_grid(args) -> dict:
 
 
 @_command(
-    "verify",
+    ("verify",),
     _verify_arguments,
     help="run a theorem suite against the oracle",
     description=(
@@ -406,9 +412,9 @@ def _verify(args) -> dict:
     }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The schurkit argument parser.  With `command`, a key of COMMANDS, only that
-    subcommand is added, and its argument lists parse as in the full parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The schurkit argument parser, with every command; a two-word command is
+    a command of its group's parser."""
     ap = argparse.ArgumentParser(
         prog="schurkit",
         description=(
@@ -417,30 +423,56 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "against a brute-force modular character oracle."
         ),
     )
-    # a one-command usage line still lists every command; in the full parser a
-    # metavar would rename the argument "command" in its invalid-choice message
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        parser_kwargs, add_arguments, _ = COMMANDS[name]
-        add_arguments(sub.add_parser(name, **parser_kwargs))
+    sub = ap.add_subparsers(dest="command", required=True)
+    groups = {}
+    for path, (help, parser_kwargs, add_arguments, _) in COMMANDS.items():
+        actions = sub
+        if len(path) == 2:
+            group = path[0]
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=GROUPS[group]).add_subparsers(
+                    dest=f"{group}_command", required=True
+                )
+            actions = groups[group]
+        add_arguments(actions.add_parser(path[-1], help=help, **parser_kwargs))
     return ap
+
+
+def _parse_request(argv) -> tuple:
+    """The COMMANDS key that argv names and its arguments, the Namespace of
+    build_parser().parse_args(argv).
+
+    A request that names a command is parsed by a parser of that command
+    alone.  Any other request, and one with arguments left over, is parsed
+    by the full parser, which prints its help or its error and exits."""
+    path = tuple(argv[:2]) if tuple(argv[:2]) in COMMANDS else tuple(argv[:1])
+    if path in COMMANDS:
+        _, parser_kwargs, add_arguments, _ = COMMANDS[path]
+        parser = argparse.ArgumentParser(prog="schurkit " + " ".join(path), **parser_kwargs)
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[len(path) :])
+        if not rest:
+            args.command = path[0]
+            if len(path) == 2:
+                setattr(args, f"{path[0]}_command", path[1])
+            return path, args
+    args = build_parser().parse_args(argv)
+    word = getattr(args, f"{args.command}_command", None)
+    return (args.command,) if word is None else (args.command, word), args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # help, a missing or an unknown command get the full parser and its messages
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    path, args = _parse_request(argv)
     try:
-        doc = COMMANDS[args.command][2](args)
+        doc = COMMANDS[path][3](args)
+        _emit(doc, args)
     except ResourceBudgetExceeded as exc:
         print(f"schurkit: resource budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except SchurkitError as exc:
+    except (SchurkitError, OSError) as exc:  # OSError: an --out or --cache path that cannot be used
         print(f"schurkit: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args)
     return 1 if doc.get("verdict") == "fail" else 0
 
 

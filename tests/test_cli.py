@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from schurkit import cli, oracle, verify
-from schurkit.cli import COMMANDS, PRIME_LIMIT, build_parser, main
+from schurkit.cli import COMMANDS, PRIME_LIMIT, _parse_request, build_parser, main
 from schurkit.oracle import SimpleTable
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -400,7 +401,7 @@ def test_oracle_factors_builds_the_product_once(capsys, monkeypatch):
 def test_help_lists_every_kind_and_family(argv, table, capsys):
     # the description, not the usage line, where --family lists its choices anyway
     with pytest.raises(SystemExit):
-        build_parser(argv[0]).parse_args(argv + ["-h"])
+        build_parser().parse_args(argv + ["-h"])
     description = " ".join(capsys.readouterr().out.split("\n\n")[1].split())
     for key in table:
         assert re.search(rf"\b{key}\b", description), key
@@ -412,15 +413,55 @@ def test_threads_flag_is_gone(capsys):
     assert exc.value.code == 2
 
 
-def test_readme_command_lines_parse():
+def _readme_examples():
+    """The `schurkit` lines of the README's command-line block, each as an argv
+    with the output its `# {...}` comment shows, or None."""
     text = README.read_text()
     section = text[text.index("## Command line") :]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    lines = [line for line in block.splitlines() if line.startswith("schurkit ")]
-    assert len(lines) >= 8
-    parser = build_parser()
-    for line in lines:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+    lines = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("schurkit "):
+            comments = []
+            for follow in lines[i + 1 :]:
+                if not follow.startswith("# "):
+                    break
+                comments.append(follow[1:].strip())
+            shown = "".join(comments) if comments and comments[0].startswith("{") else None
+            examples.append((shlex.split(line, comments=True)[1:], shown))
+    return examples
+
+
+def test_readme_command_lines_run(tmp_path, capsys, monkeypatch):
+    examples = _readme_examples()
+    assert len(examples) >= 8 and sum(shown is not None for _, shown in examples) >= 3
+    monkeypatch.chdir(tmp_path)  # a line writes report.json
+    monkeypatch.delenv("SCHURKIT_CACHE", raising=False)
+    for argv, shown in examples:
+        if "--tier" in argv:  # the whole battery, run by the verify tests and CI
+            continue
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        if shown is not None:
+            assert out == shown + "\n", argv
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["chars", "decompose", "--n", "3", "--expr", "h1", "--out", "missing/x.json"], "missing/x.json"),
+        (["chars", "decompose", "--n", "3", "--expr", "h1", "--out", "."], "."),
+        (["oracle", "factors", "--p", "2", "--n", "2", "--spec", "S:3", "--cache", "file"], "file"),
+        (["verify", "--suite", "thm-2good", "--p", "2", "--n", "2", "--rmax", "3", "--out", "missing/r.json"], "missing/r.json"),
+    ],
+    ids=["out-missing-dir", "out-directory", "cache-regular-file", "verify-out-missing-dir"],
+)
+def test_unusable_path_exits_2(argv, path, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and repr(path) in err
 
 
 def test_budget_exit_code(capsys):
@@ -578,16 +619,9 @@ def test_bad_cache_record_exits_2(corrupt, line, tmp_path, capsys):
     assert f"{path}, line {line}:" in err
 
 
-def _readme_argvs():
-    text = README.read_text()
-    section = text[text.index("## Command line") :]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("schurkit ")]
-
-
 PARSER_CORPUS = (
-    _readme_argvs()
-    + [[name, "-h"] for name in COMMANDS]
+    [argv for argv, _ in _readme_examples()]
+    + [[word, "-h"] for word in dict.fromkeys(path[0] for path in COMMANDS)]
     + [
         ["chars", "decompose", "-h"],
         ["oracle", "factors", "-h"],
@@ -595,13 +629,21 @@ PARSER_CORPUS = (
         ["chars", "decompose", "--n", "3", "--expr", "h1", "extra"],
         ["enumerate", "--family", "XX", "--p", "2", "--n", "3", "--degree", "3"],
         ["oracle", "factors", "--p", "4", "--n", "3", "--spec", "S:3"],
+        [],
+        ["-h"],
+        ["nosuch"],
+        ["oracle", "nosuch"],
+        ["classify", "[2]", "--p", "2", "--predicate", "2good", "--bogus"],
+        ["enumerate", "--family", "SS"],
+        ["classify", "--p=3", "[2,1]", "--pred", "2special"],
+        ["--", "parse", "--p", "2", "[2]"],
     ]
 )
 
 
-def _parse_outcome(parser, argv, capsys):
+def _parse_outcome(parse, argv, capsys):
     try:
-        result = parser.parse_args(argv)
+        result = parse(argv)
     except SystemExit as exc:
         result = exc.code
     out, err = capsys.readouterr()
@@ -611,15 +653,38 @@ def _parse_outcome(parser, argv, capsys):
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
 def test_one_command_parser_agrees_with_full_parser(argv, capsys):
     # the same Namespace, or the same exit code and the same text
-    assert _parse_outcome(build_parser(argv[0]), argv, capsys) == _parse_outcome(build_parser(), argv, capsys)
+    main_route = _parse_outcome(lambda argv: _parse_request(argv)[1], argv, capsys)
+    assert main_route == _parse_outcome(build_parser().parse_args, argv, capsys)
 
 
-def test_one_command_parser_registers_only_that_command(capsys):
-    parser = build_parser("chars")
-    assert parser.format_usage() == build_parser().format_usage()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["parse", "--p", "2", "[2]"])
-    assert "invalid choice: 'parse' (choose from 'chars')" in capsys.readouterr().err
+# a well-formed request for each command
+REQUESTS = {
+    ("classify",): ["classify", "[2,1]", "--p", "3", "--predicate", "2special"],
+    ("parse",): ["parse", "--p", "2", "[2]"],
+    ("chars", "decompose"): ["chars", "decompose", "--n", "3", "--expr", "h2*h1"],
+    ("oracle", "factors"): ["oracle", "factors", "--p", "2", "--n", "2", "--spec", "S:2"],
+    ("enumerate",): ["enumerate", "--family", "SS", "--p", "2", "--n", "2", "--degree", "2"],
+    ("verify",): ["verify", "--suite", "combinatorial", "--p", "2", "--bound", "3"],
+}
+
+
+def test_every_command_has_a_request():
+    assert list(REQUESTS) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("path", list(REQUESTS), ids=" ".join)
+def test_a_request_builds_one_parser(path, capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, _ = run_cli(capsys, *REQUESTS[path])
+    assert code == 0 and json.loads(out)
+    assert built == ["schurkit " + " ".join(path)]
 
 
 def test_python_m_schurkit():
