@@ -16,22 +16,25 @@ with alpha + beta = nu.  Every point of O(nu) is hit equally often, and
 permuting beta to mu shows that the pairs landing in O(nu) are |O(mu)| times
 the alpha with sort(alpha + mu) = nu.  So only one factor is expanded into
 full weights; the other keeps its dominant keys.
+
+Powers.  A symmetric, truncated or exterior power is its top, the largest
+one coordinate of a weight may be (none, p - 1 or 1), and power_char builds
+each power, and each family's sum of products of powers, from tops.  An atom
+with more than DEFAULT_BUDGET weights raises ResourceBudgetExceeded.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, dropwhile
-from math import factorial
+from functools import cache, lru_cache
+from itertools import combinations, dropwhile, islice
+from math import comb, factorial, inf, prod
 from operator import add
 from typing import Iterator
 
-from .errors import DegreeMixed, LengthExceedsN, VariableCountMismatch
+from .errors import DegreeMixed, LengthExceedsN, ResourceBudgetExceeded, VariableCountMismatch
 from .partitions import PRIME_LIMIT, Partition, is_prime, partition, partitions_of
 
-COMPLETE = "complete"
-EXTERIOR = "exterior"
-TRUNCATED = "truncated"
+DEFAULT_BUDGET = 300_000  # weights of one atom; represented words of one oracle weight
 
 
 def _orbit(lam: Partition, n: int) -> list:
@@ -172,45 +175,53 @@ def _horizontal_strip_removals(lam: Partition, k: int) -> Iterator[Partition]:
                 yield tuple(acc[: n - acc.count(0)])
             return
         lo = lam[i + 1] if i + 1 < n else 0
-        for v in range(lam[i], lo - 1, -1):
-            took = lam[i] - v
-            if took > rem:
-                break
+        # row i takes at most rem cells, and at least rem - lo: the rows below hold lo
+        for v in range(min(lam[i], lam[i] - rem + lo), max(lo, lam[i] - rem) - 1, -1):
             acc.append(v)
-            yield from rec(i + 1, rem - took, acc)
+            yield from rec(i + 1, rem - lam[i] + v, acc)
             acc.pop()
 
     yield from rec(0, k, [])
+
+
+def _weights(r: int, n: int, max_part: int) -> Iterator[Partition]:
+    """partitions_of(r, max_len=n, max_part=max_part), after counting them up
+    to DEFAULT_BUDGET + 1 when (max_part + 1)^(k - 1), k = min(n, r), passes
+    the limit: parts 2..k fix a weight.  Raises ResourceBudgetExceeded when
+    there are more.  (An exponent at the limit's bit length passes it.)"""
+    free = min(n - 1, r - 1, DEFAULT_BUDGET.bit_length())
+    if (max_part + 1) ** free > DEFAULT_BUDGET and next(islice(partitions_of(r, n, max_part), DEFAULT_BUDGET, None), None):
+        raise ResourceBudgetExceeded(f"a degree-{r} character in {n} variables has more than {DEFAULT_BUDGET} weights")
+    return partitions_of(r, max_len=n, max_part=max_part)
 
 
 def schur_char(lam: Partition, n: int) -> SymChar:
     """Character of the induced module with highest weight lam (Schur function)."""
     if len(lam) > n:
         raise LengthExceedsN(f"{lam} needs more than {n} variables")
-    deg = sum(lam)
-    coeffs = {}
-    for mu in partitions_of(deg, max_len=n):
-        k = kostka(lam, mu)
-        if k:
-            coeffs[mu] = k
-    return SymChar(n, deg, coeffs)
+    return SymChar(n, sum(lam), {mu: kostka(lam, mu) for mu in _weights(sum(lam), n, lam[0] if lam else 0)})
 
 
-def power_char(kind: str, r: int, n: int, p: int | None = None) -> SymChar:
-    """Character of a symmetric (complete), exterior or truncated power.
+def power_char(r: int, n: int, *tops) -> SymChar:
+    """Degree-r part of prod over tops t of prod_j (1 + x_j + ... + x_j^t).
 
-    complete: every dominant weight of degree r once; exterior: the single
-    column; truncated: dominant weights with first part below p.
+    One top (inf, p - 1 or 1) gives that power; a family's tops give its sum
+    over every ordered split of r.  In one coordinate the product is c(x),
+    the ways to write x as one term in [0, t] per top, so m_nu has the
+    coefficient prod_i c(nu_i), and no part of nu is above sum(tops).  For
+    m tops, inclusion-exclusion over the terms pushed above their tops gives
+    c(x) = sum over subsets T of (-1)^|T| C(x - sum_T (t + 1) + m - 1, m - 1).
     """
-    if kind == COMPLETE:
-        return SymChar(n, r, {mu: 1 for mu in partitions_of(r, max_len=n)})
-    if kind == EXTERIOR:
-        return SymChar(n, r, {(1,) * r: 1} if r <= n else {})
-    if kind == TRUNCATED:
-        if p is None:
-            raise ValueError("truncated power needs the prime")
-        return SymChar(n, r, {mu: 1 for mu in partitions_of(r, max_len=n, max_part=p - 1)})
-    raise ValueError(f"unknown power kind {kind!r}")
+    most = sum(tops)
+    if r > n * most:
+        return SymChar(n, r, {})
+    weights = _weights(r, n, min(r, most))
+    m = len(tops)
+    if m < 2:  # c is 1 on [0, most]: every weight once
+        return SymChar(n, r, dict.fromkeys(weights, 1))
+    pushed = [(sum(t + 1 for t in T), (-1) ** k) for k in range(m + 1) for T in combinations(tops, k)]
+    c = cache(lambda x: sum(sign * comb(x - shift + m - 1, m - 1) for shift, sign in pushed if shift <= x))
+    return SymChar(n, r, {nu: prod(map(c, nu)) for nu in weights})
 
 
 def decompose_schur(chi: SymChar) -> dict:
@@ -301,15 +312,13 @@ def char_from_expr(expr: str, n: int) -> SymChar:
     chi: SymChar | None = None
     for token in expr.split("*"):
         token = token.strip()
-        if m := re.fullmatch(r"h(\d+)", token):
-            atom = power_char(COMPLETE, int(m.group(1)), n)
-        elif m := re.fullmatch(r"e(\d+)", token):
-            atom = power_char(EXTERIOR, int(m.group(1)), n)
+        if m := re.fullmatch(r"([he])(\d+)", token):
+            atom = power_char(int(m.group(2)), n, inf if m.group(1) == "h" else 1)
         elif m := re.fullmatch(r"sbar(\d+)@(\d+)", token):
             p = int(m.group(2))
             if p >= PRIME_LIMIT or not is_prime(p):
                 raise ValueError(f"character atom {token!r}: {p} is not a prime below {PRIME_LIMIT}")
-            atom = power_char(TRUNCATED, int(m.group(1)), n, p=p)
+            atom = power_char(int(m.group(1)), n, p - 1)
         elif m := re.fullmatch(r"s(\[.*\])", token):
             atom = schur_char(partition(json.loads(m.group(1))), n)
         else:

@@ -97,23 +97,21 @@ the number of its tableaux, known before any vector is lowered.  It is
 checked after each vector, so a run stops as soon as the sum passes the
 budget and before the Gram matrix is built.  The prefix vectors that the
 trie keeps are not counted, and a character shifted or mapped from its dual
-builds no vectors.
+builds no vectors.  A lam with more columns than the budget stops at once.
 
 Families.  A family is a tuple of factor kinds (FAMILIES), and its degree-r
 part is the sum over the splits r = a_1 + ... + a_m of the products of the
-kinds' a_i-th powers.  All the powers of one kind together have, once
-each, the weights whose coordinates are at most top, the kind's largest
-coordinate (KINDS): none for S, p - 1 for Sbar, 1 for Wedge.  So their sum
-has the character prod_j (1 + x_j + ... + x_j^top).  The sum over
-every ordered split of the family's products is the product of these, prod_j
-c(x_j) with c the convolution of the kinds' series, and its degree-r part
-has the coefficient prod_i c(nu_i) on m_nu (family_char).  An ordered split
-and its sorted form give isomorphic products, and the character of each
-product has non-negative multiplicities in the simple basis, so the simples
-of the summed character are exactly those of some split's product, the
-union that Jordan-Hoelder gives for the direct sum.  enumerate_factors
-therefore decomposes one character per degree; _degree_splits lists the
-sorted splits for the checks that need each product on its own.
+kinds' a_i-th powers.  A kind is its top (KINDS): all its powers together
+have, once each, the weights with no coordinate above the top, the
+character prod_j (1 + x_j + ... + x_j^top).  So the sum over every ordered
+split is the degree-r part of the product of the kinds' series, which
+characters.power_char builds from their tops (family_char).  An ordered
+split and its sorted form give isomorphic products, and each product's
+character has non-negative multiplicities in the simple basis, so the
+simples of the sum are those of some split's product, the union that
+Jordan-Hoelder gives for the direct sum.  enumerate_factors therefore
+decomposes one character per degree; _degree_splits lists the sorted splits
+for the checks that need each product on its own.
 """
 
 from __future__ import annotations
@@ -128,19 +126,16 @@ from math import comb, factorial, inf, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
-from .characters import COMPLETE, EXTERIOR, TRUNCATED, SymChar, power_char
+from .characters import DEFAULT_BUDGET, SymChar, power_char
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError, VariableCountMismatch
-from .partitions import PRIME_LIMIT, Partition, is_prime, partition, partitions_of, transpose
+from .partitions import PRIME_LIMIT, Partition, is_prime, partition, transpose
 
-DEFAULT_BUDGET = 300_000
-
-# Factor kind -> (power_char kind, the largest coordinate of its weights at p):
-# none for S, p - 1 for Sbar, 1 for Wedge.  A weight has n coordinates, so above
-# n times that degree the power is zero.
+# Factor kind -> (its power's name, for help; its top at p, the largest
+# coordinate of its weights).  Above n times its top a power is zero.
 KINDS = MappingProxyType({
-    "S": (COMPLETE, lambda p: inf),
-    "Sbar": (TRUNCATED, lambda p: p - 1),
-    "Wedge": (EXTERIOR, lambda p: 1),
+    "S": ("complete", lambda p: inf),
+    "Sbar": ("truncated", lambda p: p - 1),
+    "Wedge": ("exterior", lambda p: 1),
 })
 
 # Family name -> the kinds of its factors, equal kinds next to each other.
@@ -397,8 +392,11 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
 
     Raises ResourceBudgetExceeded as soon as the orbit terms of one weight's
     vectors plus its d^2 Gram entries, d the number of its tableaux, pass
-    budget, before the Gram matrix is built.
+    budget, before the Gram matrix is built, and at once when lam has more
+    columns than budget.
     """
+    if lam and lam[0] > budget:
+        raise ResourceBudgetExceeded(f"L{list(lam)} has more than {budget} columns")
     hwv = highest_weight_vector(lam, n, p)
     w = hwv.width
     numerator = prod(map(factorial, Counter(hwv.cols).values()))
@@ -662,7 +660,7 @@ def product_char(spec: Iterable[tuple], p: int, n: int) -> SymChar:
     for kind, r in spec:
         if kind not in KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
-        atom = power_char(KINDS[kind][0], r, n, p=p)
+        atom = power_char(r, n, KINDS[kind][1](p))
         chi = atom if chi is None else chi * atom
     return SymChar(n, 0, {(): 1}) if chi is None else chi
 
@@ -675,9 +673,8 @@ def composition_factors(spec: Iterable[tuple], table: SimpleTable) -> dict:
 def _degree_splits(kinds: tuple, r: int, p: int, n: int, low: int = 0) -> Iterator[tuple]:
     """The specs ((kind, degree), ...) of kinds with degrees summing to r, the
     first at least low, weakly increasing along each run of equal kinds, in
-    lexicographic order.  No degree is above n times its kind's largest
-    coordinate (n for Wedge, n(p-1) for Sbar, none for S), where the power is
-    zero."""
+    lexicographic order.  No degree is above n times its kind's top (KINDS),
+    where the power is zero."""
     kind, rest = kinds[0], kinds[1:]
     top = min(r, n * KINDS[kind][1](p))
     if not rest:
@@ -690,18 +687,11 @@ def _degree_splits(kinds: tuple, r: int, p: int, n: int, low: int = 0) -> Iterat
 
 
 def family_char(family: str, r: int, p: int, n: int) -> SymChar:
-    """Character of the degree-r part of a family's product, the sum over
-    every ordered split of r of the product of powers (see Families in the
-    module docstring).  Each kind is the series 1 + x + ... + x^top in one
-    coordinate, top its largest coordinate (KINDS); c is their product up to
-    x^r, and m_nu has the coefficient prod_i c(nu_i)."""
+    """The degree-r part of a family's product summed over every ordered split
+    of r: power_char of its kinds' tops (see Families in the module docstring)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
-    c = [1] + [0] * r
-    for kind in FAMILIES[family]:
-        top = KINDS[kind][1](p)
-        c = [sum(c[k - min(k, top) : k + 1]) for k in range(r + 1)]
-    return SymChar(n, r, {nu: prod(c[x] for x in nu) for nu in partitions_of(r, max_len=n)})
+    return power_char(r, n, *(KINDS[kind][1](p) for kind in FAMILIES[family]))
 
 
 def enumerate_factors(family: str, r: int, table: SimpleTable) -> set:

@@ -119,7 +119,11 @@ def is_bounded(lam: Partition, a: int, b: int) -> bool:
 
 
 def partitions_of(r: int, max_len: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
-    """Yield all partitions of r, largest part first, in descending lex order."""
+    """Yield all partitions of r, largest part first, in descending lex order.
+
+    A first part is at least ceil(rem / slots), or the slots left cannot hold
+    the rest, so every branch yields and the work grows with the output, not
+    with r."""
     if max_part is None:
         max_part = r
     if max_len is None:
@@ -129,9 +133,9 @@ def partitions_of(r: int, max_len: int | None = None, max_part: int | None = Non
         if rem == 0:
             yield ()
             return
-        if slots == 0:
+        if not 0 < rem <= slots * cap:
             return
-        for first in range(min(rem, cap), 0, -1):
+        for first in range(min(rem, cap), -(-rem // slots) - 1, -1):
             for rest in gen(rem - first, first, slots - 1):
                 yield (first,) + rest
 

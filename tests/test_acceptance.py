@@ -17,7 +17,7 @@ from schurkit.classify import (
     is_2good,
     primitive_index,
 )
-from schurkit.characters import TRUNCATED, frobenius_twist, kostka, power_char, schur_char
+from schurkit.characters import frobenius_twist, kostka, power_char, schur_char
 from schurkit.oracle import SimpleTable, decompose_simples, enumerate_factors, factor_dimensions_check
 from schurkit.partitions import (
     Dominance,
@@ -93,7 +93,7 @@ def test_criterion2_witness_222_not_2good_as_stated(tables):
     S^6 E = S^6 E (x) S^0 E, (2,2,2) is 2-good.  The test asserts that
     truncated-power character, the oracle's degree-6 factor and is_2good.
     """
-    truncated = power_char(TRUNCATED, 6, 3, p=3).coeffs
+    truncated = power_char(6, 3, 2).coeffs
     in_ss = (2, 2, 2) in enumerate_factors("SS", 6, _table(tables, 3, 3))
     good = is_2good((2, 2, 2), 3)
     ok = truncated == {(2, 2, 2): 1} and in_ss is True and good is True

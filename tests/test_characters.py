@@ -1,15 +1,13 @@
 import itertools
 import math
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurkit import characters
 from schurkit.characters import (
-    COMPLETE,
-    EXTERIOR,
-    TRUNCATED,
     SymChar,
     char_from_expr,
     decompose_schur,
@@ -19,7 +17,7 @@ from schurkit.characters import (
     power_char,
     schur_char,
 )
-from schurkit.errors import DegreeMixed, LengthExceedsN, VariableCountMismatch
+from schurkit.errors import DegreeMixed, LengthExceedsN, ResourceBudgetExceeded, VariableCountMismatch
 from schurkit.partitions import (
     Dominance,
     dominance_leq,
@@ -133,21 +131,60 @@ def test_kostka_triangularity():
 
 
 def test_power_char_examples():
-    assert power_char(COMPLETE, 2, 2).coeffs == {(2,): 1, (1, 1): 1}
-    assert power_char(TRUNCATED, 3, 3, p=2).coeffs == {(1, 1, 1): 1}
-    assert power_char(EXTERIOR, 2, 3).coeffs == {(1, 1): 1}
-    assert power_char(EXTERIOR, 4, 3).is_zero()
-    assert power_char(TRUNCATED, 7, 3, p=2).is_zero()  # above n(p-1)
+    assert power_char(2, 2, inf).coeffs == {(2,): 1, (1, 1): 1}
+    assert power_char(3, 3, 1).coeffs == {(1, 1, 1): 1}  # truncated at p = 2
+    assert power_char(2, 3, 1).coeffs == {(1, 1): 1}  # exterior
+    assert power_char(4, 3, 1).is_zero()
+    assert power_char(7, 3, 1).is_zero()  # above n(p-1)
+
+
+def test_power_char_of_tops_is_the_product_of_series():
+    # the degree-r part of prod_t prod_j (1 + x_j + ... + x_j^t), multiplied
+    # out one series at a time up to degree r
+    for tops in [(), (inf,), (2,), (1, 1), (inf, 2), (2, 2, 1), (3, 1, inf)]:
+        for n in range(1, 4):
+            for r in range(10):
+                poly = {(0,) * n: 1}
+                for t, j in itertools.product(tops, range(n)):
+                    grown = {}
+                    for e, c in poly.items():
+                        for a in range(min(t, r - sum(e)) + 1):
+                            f = e[:j] + (e[j] + a,) + e[j + 1 :]
+                            grown[f] = grown.get(f, 0) + c
+                    poly = grown
+                expected = {
+                    tuple(x for x in e if x): c
+                    for e, c in poly.items()
+                    if sum(e) == r and list(e) == sorted(e, reverse=True)
+                }
+                assert power_char(r, n, *tops) == SymChar(n, r, expected), (tops, n, r)
+
+
+def test_atoms_with_too_many_weights_exceed_the_budget(monkeypatch):
+    r = 10**20
+    assert power_char(r, 1, inf).coeffs == {(r,): 1}
+    assert schur_char((r,), 1).coeffs == {(r,): 1}
+    assert power_char(r, 3, 1).is_zero()  # above n times the top: no weight is built
+    for atom in (lambda: power_char(r, 3, inf), lambda: power_char(r, 2, inf, inf), lambda: schur_char((r,), 3)):
+        with pytest.raises(ResourceBudgetExceeded, match="more than 300000 weights"):
+            atom()
+    # the limit is exact: h8 has 10 weights in 3 variables, h9 has 12
+    monkeypatch.setattr(characters, "DEFAULT_BUDGET", 10)
+    assert len(power_char(8, 3, inf).coeffs) == 10
+    with pytest.raises(ResourceBudgetExceeded):
+        power_char(9, 3, inf)
+    with pytest.raises(ResourceBudgetExceeded):
+        char_from_expr("s[9]", 3)
 
 
 def test_multiply_examples():
-    h1 = power_char(COMPLETE, 1, 2)
+    h1 = power_char(1, 2, inf)
     assert (h1 * h1).coeffs == {(2,): 1, (1, 1): 2}
     assert (h1 * zero_char(2, 3)).is_zero()
-    e2h1 = power_char(EXTERIOR, 2, 3) * power_char(COMPLETE, 1, 3)
+    e2h1 = power_char(2, 3, 1) * power_char(1, 3, inf)
     assert decompose_schur(e2h1) == {(2, 1): 1, (1, 1, 1): 1}
     with pytest.raises(VariableCountMismatch):
-        power_char(COMPLETE, 1, 2) * power_char(COMPLETE, 1, 3)
+        power_char(1, 2, inf) * power_char(1, 3, inf)
 
 
 def _product_atoms(n):
@@ -158,13 +195,13 @@ def _product_atoms(n):
     atoms = [
         SymChar(n, 0, {(): 1}),
         zero_char(n, 2),
-        power_char(COMPLETE, 2, n),
-        power_char(COMPLETE, 3, n),
-        power_char(EXTERIOR, 2, n),
+        power_char(2, n, inf),
+        power_char(3, n, inf),
+        power_char(2, n, 1),
         SymChar(n, 3, {lam: c for lam, c in virtual.items() if len(lam) <= n}),
-        power_char(TRUNCATED, 3, n, p=2),
-        power_char(TRUNCATED, 4, n, p=3),
-        power_char(TRUNCATED, 4, n, p=5),
+        power_char(3, n, 1),  # truncated at p = 2
+        power_char(4, n, 2),  # p = 3
+        power_char(4, n, 4),  # p = 5
     ]
     if n >= 2:
         atoms.append(schur_char((2, 1), n))
@@ -186,20 +223,20 @@ def test_multiply_against_polynomial_oracle():
 def test_multiply_in_many_variables():
     # an n! walk over the weights of h3 or h2 would not finish at n = 12
     n = 12
-    prod = power_char(COMPLETE, 3, n) * power_char(COMPLETE, 2, n)
+    prod = power_char(3, n, inf) * power_char(2, n, inf)
     assert prod.dim() == comb(14, 3) * comb(13, 2)
     assert decompose_schur(prod) == {(5,): 1, (4, 1): 1, (3, 2): 1}
 
 
 def test_decompose_schur_examples():
     n = 3
-    h2h1 = power_char(COMPLETE, 2, n) * power_char(COMPLETE, 1, n)
+    h2h1 = power_char(2, n, inf) * power_char(1, n, inf)
     assert decompose_schur(h2h1) == {(3,): 1, (2, 1): 1}
-    assert decompose_schur(power_char(EXTERIOR, 3, n)) == {(1, 1, 1): 1}
+    assert decompose_schur(power_char(3, n, 1)) == {(1, 1, 1): 1}
     for a in range(5):
         for b in range(a + 1):
             n2 = 4
-            prod = power_char(COMPLETE, a, n2) * power_char(COMPLETE, b, n2)
+            prod = power_char(a, n2, inf) * power_char(b, n2, inf)
             want = {}
             for i in range(b + 1):
                 lam = partition((a + b - i, i))
@@ -214,8 +251,8 @@ def _decompose_atoms(n):
     virtual = {(3,): -2, (2, 1): 1, (1, 1, 1): -3}
     atoms = [SymChar(n, 0, {(): 1}), zero_char(n, 2), SymChar(n, 3, {lam: c for lam, c in virtual.items() if len(lam) <= n})]
     for r in range(1, 5):
-        atoms += [power_char(COMPLETE, r, n), power_char(EXTERIOR, r, n)]
-        atoms += [power_char(TRUNCATED, r, n, p=p) for p in (2, 3)]
+        atoms += [power_char(r, n, inf), power_char(r, n, 1)]
+        atoms += [power_char(r, n, p - 1) for p in (2, 3)]
     atoms += [schur_char(lam, n) for lam in ((2, 1), (2, 2), (3, 1), (2, 1, 1)) if len(lam) <= n]
     return _distinct(atoms)
 
@@ -260,7 +297,7 @@ class _CountingCoeffs(dict):
 
 def test_decompose_schur_skips_lex_greater_shapes_and_negative_entries():
     n = 12
-    chi = power_char(EXTERIOR, 6, n) * power_char(EXTERIOR, 6, n)
+    chi = power_char(6, n, 1) * power_char(6, n, 1)
     want = greedy_decompose_schur(chi)
     assert want == {(2,) * k + (1,) * (12 - 2 * k): 1 for k in range(7)}
     # only the shapes lex below the top key (2^6) are paired, and each over the
@@ -288,13 +325,13 @@ def test_pieri_rules():
     n = 4
     for lam in partitions_up_to(5, max_len=n):
         for r in range(4):
-            row = decompose_schur(schur_char(lam, n) * power_char(COMPLETE, r, n))
+            row = decompose_schur(schur_char(lam, n) * power_char(r, n, inf))
             for mu, c in row.items():
                 assert c == 1
                 d = subtract(mu, lam)
                 assert d is not None or _is_strip(mu, lam, horizontal=True)
                 assert _is_strip(mu, lam, horizontal=True)
-            col = decompose_schur(schur_char(lam, n) * power_char(EXTERIOR, r, n))
+            col = decompose_schur(schur_char(lam, n) * power_char(r, n, 1))
             for mu, c in col.items():
                 assert c == 1
                 assert _is_strip(mu, lam, horizontal=False)
@@ -315,8 +352,8 @@ def _is_strip(mu, lam, horizontal):
 def test_dim_consistency():
     for n in (2, 3, 4):
         for r in range(7):
-            assert power_char(COMPLETE, r, n).dim() == dim_complete(r, n)
-            assert power_char(EXTERIOR, r, n).dim() == comb(n, r)
+            assert power_char(r, n, inf).dim() == dim_complete(r, n)
+            assert power_char(r, n, 1).dim() == comb(n, r)
             assert schur_char(partition([r]), n).dim() == dim_complete(r, n)
 
 
@@ -341,10 +378,10 @@ def test_degree_mixed_rejected():
 
 
 def test_char_from_expr():
-    assert char_from_expr("h2*h1", 3) == power_char(COMPLETE, 2, 3) * power_char(COMPLETE, 1, 3)
-    assert char_from_expr("sbar3@2", 3) == power_char(TRUNCATED, 3, 3, p=2)
+    assert char_from_expr("h2*h1", 3) == power_char(2, 3, inf) * power_char(1, 3, inf)
+    assert char_from_expr("sbar3@2", 3) == power_char(3, 3, 1)
     assert char_from_expr("s[2,1]", 3) == schur_char((2, 1), 3)
-    assert char_from_expr("e2 * h1", 3) == power_char(EXTERIOR, 2, 3) * power_char(COMPLETE, 1, 3)
+    assert char_from_expr("e2 * h1", 3) == power_char(2, 3, 1) * power_char(1, 3, inf)
     with pytest.raises(ValueError):
         char_from_expr("q3", 2)
 
@@ -363,7 +400,7 @@ def small_char(draw, n=3):
     if kind == "schur":
         return schur_char(lam, n)
     r = sum(lam) % 4
-    return power_char(COMPLETE if kind == "h" else EXTERIOR, r, n)
+    return power_char(r, n, inf if kind == "h" else 1)
 
 
 @given(small_char(), small_char())

@@ -3,6 +3,7 @@ import inspect
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -696,3 +697,42 @@ def test_python_m_schurkit():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == '{"schur":{"[3]":1,"[2,1]":1}}\n'
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chars", "decompose", "--n", "1", "--expr", f"h{HUGE}"],
+        ["chars", "decompose", "--n", "1", "--expr", f"s[{HUGE}]"],
+        ["chars", "decompose", "--n", "3", "--expr", f"h{HUGE}"],
+        ["chars", "decompose", "--n", "3", "--expr", f"s[{HUGE}]"],
+        ["oracle", "factors", "--p", "2", "--n", "3", "--spec", f"S:{HUGE}"],
+        ["oracle", "factors", "--p", "2", "--n", "1", "--spec", f"S:{HUGE}"],
+        ["enumerate", "--family", "Sbar", "--p", "2", "--n", "3", "--degree", "100000000"],
+        ["enumerate", "--family", "Sbar", "--p", "2", "--n", "3", "--degree", HUGE],
+    ],
+)
+def test_huge_degrees_answer_or_exceed_the_budget(argv):
+    # in a child process under a 1 GiB address-space cap: a size taken from
+    # the degree would hang or fail to allocate
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "schurkit", *argv], capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap
+    )
+    if result.returncode == 3:
+        assert result.stdout == "" and result.stderr.count("\n") == 1
+        assert result.stderr.startswith("schurkit: resource budget exceeded: ")
+    else:
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        doc = json.loads(result.stdout)
+        if argv[0] == "enumerate":
+            assert '"factors":[]' in result.stdout
+        else:
+            assert doc == {"schur": {f"[{HUGE}]": 1}}

@@ -6,7 +6,7 @@ import sys
 import types
 from collections import Counter
 from itertools import combinations, permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 
 import pytest
 
@@ -30,6 +30,7 @@ from schurkit.characters import SymChar
 from schurkit.oracle import (
     DEFAULT_BUDGET,
     FAMILIES,
+    KINDS,
     SimpleTable,
     TensorVector,
     _degree_splits,
@@ -689,11 +690,11 @@ def test_decompose_simples_examples():
     for p in (2, 3):
         tab = SimpleTable(p, 3)
         for r in range(1, 4):
-            assert decompose_simples(power_char("exterior", r, 3), tab) == {(1,) * r: 1}
+            assert decompose_simples(power_char(r, 3, 1), tab) == {(1,) * r: 1}
     # below the prime the simple basis is the Schur basis
     tab5 = SimpleTable(5, 3)
     for lam in partitions_up_to(4, max_len=3):
-        chi = schur_char(lam, 3) * power_char("complete", 0, 3)
+        chi = schur_char(lam, 3) * power_char(0, 3, inf)
         assert decompose_simples(chi, tab5) == decompose_schur(chi)
 
 
@@ -716,9 +717,9 @@ def test_block_gate():
 def test_product_char_starts_from_its_first_atom(monkeypatch):
     # the old fold started from the unit character: one more multiplication
     atoms = {
-        "S": lambda r, p, n: power_char("complete", r, n),
-        "Sbar": lambda r, p, n: power_char("truncated", r, n, p=p),
-        "Wedge": lambda r, p, n: power_char("exterior", r, n),
+        "S": lambda r, p, n: power_char(r, n, inf),
+        "Sbar": lambda r, p, n: power_char(r, n, p - 1),
+        "Wedge": lambda r, p, n: power_char(r, n, 1),
     }
 
     def fold(spec, p, n):
@@ -783,6 +784,17 @@ def test_family_char_is_the_sum_over_ordered_splits():
         family_char("SSS", 2, 2, 2)
 
 
+def test_one_top_is_each_bounded_weight_once():
+    # a kind's power has every weight with no coordinate above its top, once
+    for kind, (_, top) in KINDS.items():
+        for p in (2, 3, 5, 7):
+            for n in range(1, 6):
+                for r in range(14):
+                    weights = partitions_of(r, max_len=n, max_part=min(r, top(p)))
+                    assert power_char(r, n, top(p)) == SymChar(n, r, dict.fromkeys(weights, 1)), (kind, p, n, r)
+                    assert product_char([(kind, r)], p, n) == power_char(r, n, top(p))
+
+
 def test_enumerate_factors_is_the_union_over_degree_splits():
     for p in (2, 3, 5, 7):
         for n in range(1, 5):
@@ -838,12 +850,12 @@ def test_degree_splits_are_the_five_branch_splits_without_zero_products():
     # the same specs less those with a zero power, and for every family but
     # SbarSbarWedge in the same order: it decides which of lam and its dual a
     # table computes and which it derives
-    powers = {"S": "complete", "Sbar": "truncated", "Wedge": "exterior"}
+    tops = {"S": lambda p: inf, "Sbar": lambda p: p - 1, "Wedge": lambda p: 1}
     zero = {}
 
     def is_zero(kind, d, p, n):
         if (kind, d, p, n) not in zero:
-            zero[kind, d, p, n] = not power_char(powers[kind], d, n, p=p).coeffs
+            zero[kind, d, p, n] = not power_char(d, n, tops[kind](p)).coeffs
         return zero[kind, d, p, n]
 
     kept = dropped = 0

@@ -57,6 +57,38 @@ def test_construct_rejects_bad_input():
     assert partition([3.0, 1.0]) == (3, 1)  # integral floats from JSON are fine
 
 
+def _all_partitions(rmax):
+    """Every partition of each degree up to rmax, grown from those of the
+    degree below by adding a cell to a row or a new row of one cell."""
+    table = [{()}]
+    for _ in range(rmax):
+        table.append({
+            tuple(sorted(lam[:i] + (lam[i] + 1,) + lam[i + 1 :], reverse=True)) for lam in table[-1] for i in range(len(lam))
+        } | {lam + (1,) for lam in table[-1]})
+    return table
+
+
+def test_partitions_of_matches_brute_force():
+    # the same sequence, descending lex, for every length and part bound
+    for r, every in enumerate(_all_partitions(21)):
+        ordered = sorted(every, reverse=True)
+        for max_len in (None, *range(r + 2)):
+            for max_part in (None, *range(r + 2)):
+                expected = [
+                    lam for lam in ordered
+                    if (max_len is None or len(lam) <= max_len) and (max_part is None or not lam or lam[0] <= max_part)
+                ]
+                assert list(partitions_of(r, max_len=max_len, max_part=max_part)) == expected, (r, max_len, max_part)
+
+
+def test_partitions_of_huge_degree_yields_at_once():
+    r = 10**20
+    assert list(partitions_of(r, max_len=1)) == [(r,)]
+    assert list(partitions_of(r, max_len=2, max_part=r // 2)) == [(r // 2, r // 2)]
+    assert next(partitions_of(r, max_len=3)) == (r,)
+    assert list(partitions_of(r, max_len=3, max_part=r // 3)) == []
+
+
 def test_transpose_examples():
     assert transpose((3, 1)) == (2, 1, 1)
     assert transpose(()) == ()
