@@ -224,6 +224,20 @@ def power_char(r: int, n: int, *tops) -> SymChar:
     return SymChar(n, r, {nu: prod(map(c, nu)) for nu in weights})
 
 
+def product(atoms: list, n: int) -> SymChar:
+    """The product of atoms, characters in n variables, multiplied in
+    m = min(n, their total degree) variables; the empty product is the unit.
+    Setting variables to zero maps a product to the product, and no weight of
+    the product has more parts than its degree, so the m-variable product has
+    every coefficient of the n-variable one."""
+    m = min(n, sum(atom.degree for atom in atoms))
+    chi = None
+    for atom in atoms:
+        atom = SymChar(m, atom.degree, atom.coeffs)
+        chi = atom if chi is None else chi * atom
+    return SymChar(n, 0, {(): 1}) if chi is None else SymChar(n, chi.degree, chi.coeffs)
+
+
 def decompose_schur(chi: SymChar) -> dict:
     """Coefficients of chi in the Schur basis, by Jacobi-Trudi pairing.
 
@@ -309,7 +323,7 @@ def char_from_expr(expr: str, n: int) -> SymChar:
     import json
     import re
 
-    chi: SymChar | None = None
+    atoms = []
     for token in expr.split("*"):
         token = token.strip()
         if m := re.fullmatch(r"([he])(\d+)", token):
@@ -323,7 +337,5 @@ def char_from_expr(expr: str, n: int) -> SymChar:
             atom = schur_char(partition(json.loads(m.group(1))), n)
         else:
             raise ValueError(f"cannot parse character atom {token!r}")
-        chi = atom if chi is None else chi * atom
-    if chi is None:
-        raise ValueError("empty character expression")
-    return chi
+        atoms.append(atom)
+    return product(atoms, n)

@@ -91,6 +91,19 @@ over every field (K. Akin, D. A. Buchsbaum and J. Weyman, Adv. Math. 44
 is their number, the Kostka number K_{lam nu}, and K_{lam nu} =
 K_{lam* nu*}.
 
+Stability.  Green's truncation functor (LNM 830, section 6) keeps the weight
+spaces whose weights have at most m parts and takes L(lam) in n variables to
+L(lam) in m <= n variables when lam has at most m parts.  Every weight of
+degree |lam| has at most |lam| parts, so for n >= |lam| the multiplicities of
+L(lam) do not depend on n.  A table therefore computes L(lam) in
+min(n, |lam|) variables and stores it as the n-variable character, and
+product_char multiplies in min(n, total degree) variables
+(characters.product), so no cost grows with n above the degree; a packed
+orbit over n letters has w 2^n bits.  The weight spaces, their dimensions and
+the orbit terms the budget counts are those of n variables.  So the stability
+check of verify's oracle-self, which compares the tables of n and n + 1
+variables, compares two independent computations only at degrees above n.
+
 Budget.  A table's budget caps what one dominant weight holds: the orbit
 terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
 the number of its tableaux, known before any vector is lowered.  It is
@@ -126,7 +139,7 @@ from math import comb, factorial, inf, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
-from .characters import DEFAULT_BUDGET, SymChar, power_char
+from .characters import DEFAULT_BUDGET, SymChar, power_char, product
 from .errors import LengthExceedsN, NegativeResidual, ResourceBudgetExceeded, SchurkitError, VariableCountMismatch
 from .partitions import PRIME_LIMIT, Partition, is_prime, partition, transpose
 
@@ -493,8 +506,8 @@ class SimpleTable:
         self.misses += 1
         if len(lam) > self.n:
             raise LengthExceedsN(f"{lam} needs more than {self.n} letters")
-        chi, dim = self._derived(lam) or _simple_char_by_gram(lam, self.p, self.n, self.budget)
-        self.cache[lam] = chi
+        chi, dim = self._derived(lam) or _simple_char_by_gram(lam, self.p, min(self.n, sum(lam)), self.budget)
+        self.cache[lam] = chi = SymChar(self.n, chi.degree, chi.coeffs)
         self.dims[lam] = dim
         return chi
 
@@ -655,14 +668,14 @@ def factor_dimensions_check(factors: dict, chi: SymChar, table: SimpleTable) -> 
 
 def product_char(spec: Iterable[tuple], p: int, n: int) -> SymChar:
     """Character of a product of powers, one (kind, degree) per factor with
-    kind in KINDS; the empty product is the unit character."""
-    chi = None
+    kind in KINDS, multiplied in min(n, total degree) variables
+    (characters.product); the empty product is the unit character."""
+    atoms = []
     for kind, r in spec:
         if kind not in KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
-        atom = power_char(r, n, KINDS[kind][1](p))
-        chi = atom if chi is None else chi * atom
-    return SymChar(n, 0, {(): 1}) if chi is None else chi
+        atoms.append(power_char(r, n, KINDS[kind][1](p)))
+    return product(atoms, n)
 
 
 def composition_factors(spec: Iterable[tuple], table: SimpleTable) -> dict:

@@ -61,10 +61,15 @@ def omega(s: int) -> Partition:
 
 
 def transpose(lam: Partition) -> Partition:
-    """Conjugate diagram: column lengths become row lengths."""
+    """Conjugate diagram: column lengths become row lengths.  Column c has
+    one cell per part of at least c, a suffix sum of the number of parts of
+    each size, so the work is O(lam_1 + len(lam))."""
     if not lam:
         return ()
-    return tuple(sum(1 for x in lam if x >= j) for j in range(1, lam[0] + 1))
+    equal = [0] * (lam[0] + 1)
+    for x in lam:
+        equal[x] += 1
+    return tuple(accumulate(reversed(equal[1:])))[::-1]
 
 
 def add(lam: Partition, mu: Partition) -> Partition:

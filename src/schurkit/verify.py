@@ -10,14 +10,15 @@ elapsed-time field.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
+from math import comb
 
 from . import classify
-from .characters import frobenius_twist, kostka, schur_char
+from .characters import DEFAULT_BUDGET, frobenius_twist, kostka, schur_char
 from .classify import (
     is_1special,
     is_21good_piecewise,
@@ -26,6 +27,7 @@ from .classify import (
     is_2special,
     standard_parses,
 )
+from .errors import ResourceBudgetExceeded
 from .oracle import FAMILIES, SimpleTable, _degree_splits, decompose_simples, enumerate_factors, factor_dimensions_check
 from .oracle import product_char, simple_char_defect
 from .partitions import (
@@ -130,9 +132,21 @@ def _checked(table: SimpleTable, p: int, n: int) -> SimpleTable:
     return table
 
 
+def _bounded_degrees(rmax: int, n: int) -> None:
+    """Raise ResourceBudgetExceeded when the degrees 0..rmax hold more than
+    DEFAULT_BUDGET partitions with at most n parts.  They are counted, up to
+    the limit, only when C(rmax + k, k), the number of k-tuples of sum at
+    most rmax, k = min(n, rmax), passes it.  (k is capped at the limit's bit
+    length, where the binomial passes it already.)"""
+    k = min(n, rmax, DEFAULT_BUDGET.bit_length())
+    if comb(rmax + k, k) > DEFAULT_BUDGET and next(islice(partitions_up_to(rmax, max_len=n), DEFAULT_BUDGET, None), None):
+        raise ResourceBudgetExceeded(f"degrees 0..{rmax} hold more than {DEFAULT_BUDGET} partitions with at most {n} parts")
+
+
 def _set_equality_suite(name, predicate, family, rmax, table):
     start = time.time()
     p, n = table.p, table.n
+    _bounded_degrees(rmax, n)
     before = table.stats()
     discrepancies = []
     for r in range(rmax + 1):
@@ -184,25 +198,7 @@ def _with_subs(name, params, subs, start, oracle_stats=None) -> SuiteReport:
 # --- combinatorial invariants ---------------------------------------------------
 
 
-def _ignores_p(check):
-    """Turn check(bound), a check that does not read p, into a check(p, bound).
-
-    The check runs once per process and bound, and every prime replays its
-    params and discrepancies, the same objects each time.  The replay is a
-    generator, so the first run is timed inside its sub-report."""
-
-    @functools.cache
-    def once(bound):
-        return tuple(check(bound))
-
-    def replay(p, bound):
-        yield from once(bound)
-
-    return replay
-
-
-@_ignores_p
-def _check_transpose_involution(bound):
+def _check_transpose_involution(p, bound):
     bound = min(bound, 30)
     yield {"bound": bound}
     for lam in partitions_up_to(bound):
@@ -210,8 +206,7 @@ def _check_transpose_involution(bound):
             yield {"partition": list(lam)}
 
 
-@_ignores_p
-def _check_bounded_duality(bound):
+def _check_bounded_duality(p, bound):
     bound = min(bound, 25)
     yield {"bound": bound}
     for lam in partitions_up_to(bound):
@@ -297,9 +292,12 @@ def _check_reciprocity(p, bound):
     # the stated domain is the full n x (2p-1) box for n <= 6, so the degree
     # bound is not applied here
     yield {"p": p, "maxLen": 6, "maxPart": 2 * p - 1}
+    # the boxes nest and dagger permutes each one, so each value is computed
+    # once, over the largest box
+    special = {lam: is_21special(lam, p) for lam in partitions_up_to(6 * (2 * p - 1), max_len=6, max_part=2 * p - 1)}
     for n in range(1, 7):
         for lam in partitions_up_to(n * (2 * p - 1), max_len=n, max_part=2 * p - 1):
-            if is_21special(lam, p) != is_21special(dagger(lam, 2, 1, p, n), p):
+            if special[lam] != special.get(dagger(lam, 2, 1, p, n)):
                 yield {"partition": list(lam), "n": n}
 
 
@@ -499,6 +497,7 @@ def suite_oracle_self(p: int, n: int, rmax: int, table: SimpleTable) -> SuiteRep
     directory, and its hits and misses count in the report's oracle stats."""
     start = time.time()
     before = _checked(table, p, n).stats()
+    _bounded_degrees(rmax, n)
     with SimpleTable(p, n + 1, table.budget, table.cache_dir) if n < 4 else nullcontext() as bigger:
         subs = [
             _sub_report(f"oracle-self/{name}", check(p, n, rmax, table, bigger))

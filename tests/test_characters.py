@@ -386,6 +386,23 @@ def test_char_from_expr():
         char_from_expr("q3", 2)
 
 
+def test_a_product_is_multiplied_in_at_most_its_degree_variables(monkeypatch):
+    exprs = ["h3*e2", "h2*h2*e1", "s[2,1]*h2", "sbar3@2*e2", "e1*e1*e1*e1", "h0*s[1,1]", "s[3]*sbar2@3*h1"]
+    mul = SymChar.__mul__
+    for n in range(2, 10):  # s[2,1] needs two variables
+        for expr in exprs:
+            atoms = [char_from_expr(token, n) for token in expr.split("*")]
+            expected = atoms[0]
+            for atom in atoms[1:]:
+                expected = mul(expected, atom)
+            seen = []
+            monkeypatch.setattr(SymChar, "__mul__", lambda a, b: seen.append(a.n) or mul(a, b))
+            assert char_from_expr(expr, n) == expected, (expr, n)
+            monkeypatch.undo()
+            assert all(m == min(n, expected.degree) for m in seen), (expr, n, seen)
+    assert char_from_expr("h3*e2", 10**6).coeffs == char_from_expr("h3*e2", 5).coeffs
+
+
 # --- randomized ring-axiom fuzz -------------------------------------------------
 
 small_partition = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=3).map(

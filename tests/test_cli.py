@@ -699,6 +699,21 @@ def test_python_m_schurkit():
     assert result.stdout == '{"schur":{"[3]":1,"[2,1]":1}}\n'
 
 
+def _capped(argv):
+    """schurkit run on argv in a child process under a 1 GiB address-space
+    cap, where a size taken from the degree or from n would hang or fail to
+    allocate."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "schurkit", *argv], capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap
+    )
+
+
 HUGE = "99999999999999999999"
 
 
@@ -713,19 +728,11 @@ HUGE = "99999999999999999999"
         ["oracle", "factors", "--p", "2", "--n", "1", "--spec", f"S:{HUGE}"],
         ["enumerate", "--family", "Sbar", "--p", "2", "--n", "3", "--degree", "100000000"],
         ["enumerate", "--family", "Sbar", "--p", "2", "--n", "3", "--degree", HUGE],
+        ["verify", "--suite", "1special", "--p", "2", "--n", "3", "--rmax", HUGE],
     ],
 )
 def test_huge_degrees_answer_or_exceed_the_budget(argv):
-    # in a child process under a 1 GiB address-space cap: a size taken from
-    # the degree would hang or fail to allocate
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", "schurkit", *argv], capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap
-    )
+    result = _capped(argv)
     if result.returncode == 3:
         assert result.stdout == "" and result.stderr.count("\n") == 1
         assert result.stderr.startswith("schurkit: resource budget exceeded: ")
@@ -736,3 +743,23 @@ def test_huge_degrees_answer_or_exceed_the_budget(argv):
             assert '"factors":[]' in result.stdout
         else:
             assert doc == {"schur": {f"[{HUGE}]": 1}}
+
+
+@pytest.mark.parametrize(
+    "command, large, small",
+    [
+        ("oracle factors --p 2 --n {} --spec S:2", 20, 2),
+        ("enumerate --family SS --p 2 --n {} --degree 3", 24, 3),
+        ("chars decompose --n {} --expr h3*e2", 1000000, 5),
+    ],
+)
+def test_n_above_the_degree_answers_as_the_degree_does(command, large, small):
+    # above the degree, n changes no multiplicity: only enumerate echoes n
+    docs = []
+    for n in (large, small):
+        result = _capped(command.format(n).split())
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        doc = json.loads(result.stdout)
+        doc.pop("n", None)
+        docs.append(doc)
+    assert docs[0] == docs[1]

@@ -904,6 +904,25 @@ def test_stability_in_n():
                     assert small == {lam for lam in big if len(lam) <= n}, (family, r, p, n)
 
 
+def test_a_character_is_computed_in_at_most_its_degree_variables(monkeypatch):
+    # for n >= |lam| the weight multiplicities of L(lam) do not depend on n
+    # (Green, LNM 830, 6), so the table computes in |lam| variables
+    gram = oracle._simple_char_by_gram
+    seen = []
+    monkeypatch.setattr(oracle, "_simple_char_by_gram", lambda lam, p, n, budget: seen.append(n) or gram(lam, p, n, budget))
+    cases = 0
+    for p in (2, 3, 5):
+        for r in range(7):
+            for lam in partitions_of(r):
+                for n in range(r + 1, 8):
+                    chi, dim = gram(lam, p, n, DEFAULT_BUDGET)
+                    table = SimpleTable(p, n)
+                    assert table.char(lam) == chi and table.dims[lam] == dim, (lam, p, n)
+                    assert seen.pop() == r
+                    cases += 1
+    assert cases == 225
+
+
 def test_restricted_good_equals_special():
     for p in (2, 3):
         tab = SimpleTable(p, 3)

@@ -95,6 +95,14 @@ def test_transpose_examples():
     assert transpose((2, 2)) == (2, 2)
 
 
+def test_transpose_is_the_column_counts():
+    def columns(lam):
+        return tuple(sum(1 for x in lam if x >= c) for c in range(1, lam[0] + 1)) if lam else ()
+
+    for lam in [*partitions_up_to(25), (300, 150, 2), (3,) * 300, (1,) * 50]:
+        assert transpose(lam) == columns(lam), lam
+
+
 def test_transpose_is_involution():
     for lam in partitions_up_to(16):
         assert transpose(transpose(lam)) == lam

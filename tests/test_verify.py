@@ -3,6 +3,7 @@ import json
 import pytest
 
 from schurkit import verify
+from schurkit.errors import ResourceBudgetExceeded
 from schurkit.oracle import DEFAULT_BUDGET, SimpleTable, _peel, _splits
 from schurkit.verify import (
     EXTENDED_TIER,
@@ -57,6 +58,29 @@ def test_combinatorial_suite_structure():
     names = {s.suite for s in rep.sub_reports}
     assert "combinatorial/parse-uniqueness" in names
     assert "combinatorial/reciprocity" in names
+    # the two checks that do not read p run for each prime, with params of their own
+    other = suite_combinatorial(5, 10)
+    for name in ("transpose-involution", "bounded-duality"):
+        mine, theirs = (next(s for s in r.sub_reports if s.suite == f"combinatorial/{name}") for r in (rep, other))
+        assert mine.params == theirs.params == {"bound": 10}
+        assert mine.params is not theirs.params
+
+
+def test_a_degree_range_past_the_limit_stops_before_its_first_degree(monkeypatch):
+    for suite in (suite_thm_2good, suite_1special, suite_oracle_self):
+        table = SimpleTable(2, 3)
+        with pytest.raises(ResourceBudgetExceeded, match="more than 300000 partitions with at most 3 parts"):
+            suite(2, 3, 10**20, table)
+        assert table.misses == 0
+    # one partition per degree in one variable: the limit is exact
+    verify._bounded_degrees(DEFAULT_BUDGET - 1, 1)
+    with pytest.raises(ResourceBudgetExceeded):
+        verify._bounded_degrees(DEFAULT_BUDGET, 1)
+    # the binomial bound passes every tier config, so none is counted
+    monkeypatch.setattr(verify, "islice", None)
+    for name in ("thm-2good", "thm-21special", "1special", "oracle-self"):
+        for p, n, rmax in EXTENDED_TIER[name]:
+            verify._bounded_degrees(rmax, n)
 
 
 def test_combinatorial_p2_skips_piecewise():
