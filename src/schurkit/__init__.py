@@ -6,7 +6,7 @@ powers of the natural module in characteristic p, and verifies that the two
 answers agree.
 """
 
-from .characters import SymChar, decompose_schur, frobenius_twist, is_deficient, kostka, power_char, schur_char
+from .characters import SymChar, decompose_schur, frobenius_twist, kostka, power_char, schur_char
 from .classify import (
     classify_term,
     divisibility_index_n3,

@@ -20,7 +20,8 @@ full weights; the other keeps its dominant keys.
 Powers.  A symmetric, truncated or exterior power is its top, the largest
 one coordinate of a weight may be (none, p - 1 or 1), and power_char builds
 each power, and each family's sum of products of powers, from tops.  An atom
-with more than DEFAULT_BUDGET weights raises ResourceBudgetExceeded.
+with more than DEFAULT_BUDGET weights raises ResourceBudgetExceeded, and so
+does a product whose cheaper side expands more than DEFAULT_BUDGET pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator
 from .errors import DegreeMixed, LengthExceedsN, ResourceBudgetExceeded, VariableCountMismatch
 from .partitions import PRIME_LIMIT, Partition, is_prime, partition, partitions_of
 
-DEFAULT_BUDGET = 300_000  # weights of one atom; represented words of one oracle weight
+DEFAULT_BUDGET = 300_000  # weights of one atom; weight pairs of one product; represented words of one oracle weight
 
 
 def _orbit(lam: Partition, n: int) -> list:
@@ -114,7 +115,8 @@ class SymChar:
         sum nu gains c_lam * c_mu * |O(mu)|, and each total is divided by
         |O(nu)| at the end; the division is exact (see the module docstring)
         and a remainder raises.  The factor expanded is the one that gives
-        fewer (alpha, mu) pairs.
+        fewer (alpha, mu) pairs; when even those are more than DEFAULT_BUDGET,
+        ResourceBudgetExceeded is raised before any weight is expanded.
         """
         if not isinstance(other, SymChar):
             return NotImplemented
@@ -127,7 +129,12 @@ class SymChar:
         def pairs(expanded: SymChar, keyed: SymChar) -> int:
             return sum(_orbit_size(lam, n) for lam in expanded.coeffs) * len(keyed.coeffs)
 
-        expanded, keyed = (other, self) if pairs(other, self) < pairs(self, other) else (self, other)
+        forward, backward = pairs(self, other), pairs(other, self)
+        if min(forward, backward) > DEFAULT_BUDGET:
+            raise ResourceBudgetExceeded(
+                f"a product of degree {deg} in {n} variables expands more than {DEFAULT_BUDGET} weight pairs"
+            )
+        expanded, keyed = (other, self) if backward < forward else (self, other)
         keys = [(mu + (0,) * (n - len(mu)), c * _orbit_size(mu, n)) for mu, c in keyed.coeffs.items()]
         counts: dict[tuple, int] = {}
         for lam, c in expanded.coeffs.items():
@@ -296,13 +303,6 @@ def _pair_with_schur(coeffs: dict, lam: Partition) -> int:
         return total
 
     return rows_up_from(rows - 1)
-
-
-def is_deficient(chi: SymChar, a: int, b: int) -> bool:
-    """No Schur constituent of chi is (a,b)-bounded."""
-    from .partitions import is_bounded
-
-    return all(not is_bounded(lam, a, b) for lam, c in decompose_schur(chi).items() if c)
 
 
 def frobenius_twist(chi: SymChar, p: int) -> SymChar:

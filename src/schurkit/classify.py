@@ -351,12 +351,53 @@ def divisibility_index_n3(lam: Partition, p: int) -> int:
     (a, b) is 2-good, because L(a, b) is the socle of the induced module
     nabla(a, b), a section of the good filtration of S^a E (x) S^b E.  So only
     j < lam_3 is tested.
+
+    Each j is one walk over the digit chain of lam - j*omega_3, with no
+    partition built.  Its differences are x = lam_1 - lam_2, y = lam_2 - lam_3
+    and m = lam_3 - j, and restricted_split works on differences, so its i-th
+    p-adic digit is the partition with differences (x_i, y_i, m_i), the i-th
+    base-p digits; only m_i depends on j.  A digit sequence is standard when
+    an automaton over two states, 0 between blocks and 1 inside one, can end
+    in 0, with the moves of standard_parses' grammar: 0 -> 0 on a 2-special
+    digit, 0 -> 1 on a beginning term, 1 -> 1 on a middle term and 1 -> 0 on
+    an end term.  A zero digit is 2-special and neither a middle nor an end
+    term, so zero digits above the top keep acceptance, and every m is read
+    to the same K digits, those of max(x, y, lam_3).  The moves are memoised
+    for this call, keyed by (i, m_i, state), so each term test runs at most
+    once per (i, m_i, state) across all j.
     """
     _require_len3(lam)
-    top = lam[2] if len(lam) == 3 else 0
+    if len(lam) < 3:
+        return 0
+    top = lam[2]
+    x, y = lam[0] - lam[1], lam[1] - top
+    fixed = []  # (x_i, y_i) for i < K
+    rest = max(x, y, top)
+    while rest:
+        fixed.append((x % p, y % p))
+        x, y, rest = x // p, y // p, rest // p
+    moves: dict[tuple, tuple] = {}
+
+    def move(i: int, d: int, state: int) -> tuple:
+        key = (i, d, state)
+        if key not in moves:
+            a, b = fixed[i]
+            digit = tuple(v for v in (a + b + d, b + d, d) if v)
+            if state == 0:
+                tests = ((is_2special, 0), (is_beginning_term, 1))
+            else:
+                tests = ((is_middle_term, 1), (is_end_term, 0))
+            moves[key] = tuple(target for test, target in tests if test(digit, p))
+        return moves[key]
+
     for j in range(top):
-        mu = partition(x - j for x in lam) if j else lam
-        if is_critical_n3(mu, p):
+        m, states = top - j, (0,)
+        for i in range(len(fixed)):
+            states = tuple({target for s in states for target in move(i, m % p, s)})
+            if not states:
+                break
+            m //= p
+        if 0 in states:
             return j
     return top
 

@@ -12,7 +12,6 @@ from schurkit.characters import (
     char_from_expr,
     decompose_schur,
     frobenius_twist,
-    is_deficient,
     kostka,
     power_char,
     schur_char,
@@ -355,16 +354,6 @@ def test_dim_consistency():
             assert power_char(r, n, inf).dim() == dim_complete(r, n)
             assert power_char(r, n, 1).dim() == comb(n, r)
             assert schur_char(partition([r]), n).dim() == dim_complete(r, n)
-
-
-def test_is_deficient():
-    assert not is_deficient(schur_char((3,), 3), 1, 1)
-    assert is_deficient(schur_char((2, 2, 2), 3), 2, 1)
-    # deficiency is stable under multiplying by any good-filtration character
-    base = schur_char((2, 2, 2), 3)
-    for lam in partitions_up_to(3, max_len=3):
-        prod = base * schur_char(lam, 3)
-        assert is_deficient(prod, 2, 1)
 
 
 def test_frobenius_twist():

@@ -351,6 +351,40 @@ def test_divisibility_index():
     assert divisibility_index_n3((2, 2, 2), 5) == 2
 
 
+def brute_divisibility_index(lam, p):
+    """The least j < lam_3 with lam - j*omega_3 critical, else lam_3."""
+    top = lam[2] if len(lam) == 3 else 0
+    return next((j for j in range(top) if is_critical_n3(partition(x - j for x in lam), p)), top)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_divisibility_index_is_the_brute_walk(p):
+    for a in range(31):
+        for b in range(a + 1):
+            for c in range(b + 1):
+                lam = partition((a, b, c))
+                assert divisibility_index_n3(lam, p) == brute_divisibility_index(lam, p), (lam, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_divisibility_index_of_long_rows_is_the_brute_walk(p):
+    # classify-stream's 3-row requests: parts up to 300, indices up to about 300
+    rng = random.Random(f"divisibility-{p}")
+    for _ in range(100):
+        lam = partition(sorted((rng.randint(0, 300) for _ in range(3)), reverse=True))
+        assert divisibility_index_n3(lam, p) == brute_divisibility_index(lam, p), (lam, p)
+    assert divisibility_index_n3((298, 253, 214), 7) == 202
+
+
+def test_divisibility_index_for_a_prime_above_the_first_row():
+    # every part is a single digit, so the chain is one digit
+    p = 1000003
+    for lam in [(5, 3, 2), (40, 20, 10), (9, 9, 9), (300, 1, 1), (7,), ()]:
+        assert divisibility_index_n3(lam, p) == brute_divisibility_index(lam, p), lam
+    with pytest.raises(LengthExceedsN):
+        divisibility_index_n3((1, 1, 1, 1), p)
+
+
 def test_two_row_partitions_are_2good():
     # why divisibility_index_n3 stops at lam_3 without testing it: lam - lam_3*omega_3
     # has at most two rows, and L(a, b) is the socle of nabla(a, b), a good-filtration

@@ -729,6 +729,7 @@ HUGE = "99999999999999999999"
         ["enumerate", "--family", "Sbar", "--p", "2", "--n", "3", "--degree", "100000000"],
         ["enumerate", "--family", "Sbar", "--p", "2", "--n", "3", "--degree", HUGE],
         ["verify", "--suite", "1special", "--p", "2", "--n", "3", "--rmax", HUGE],
+        ["chars", "decompose", "--n", "18", "--expr", "h6*h6*h6"],
     ],
 )
 def test_huge_degrees_answer_or_exceed_the_budget(argv):
