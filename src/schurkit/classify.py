@@ -54,34 +54,39 @@ def is_1special(lam: Partition, p: int) -> bool:
 
 def is_beginning_term(lam: Partition, p: int) -> bool:
     """(p-2)^k a b with p-2 >= a >= b >= 0: every part at most p-2, and all
-    but the last two equal to p-2."""
-    if lam and lam[0] > p - 2:
-        return False
-    return all(x == p - 2 for x in lam[:-2])
+    but the last two equal to p-2.  The parts decrease from lam_1 <= p-2, so
+    the third part from the end is the only one left to test."""
+    return not lam or (lam[0] <= p - 2 and (len(lam) < 3 or lam[-3] == p - 2))
 
 
 def _matches_two_ones_sum(lam: Partition, p: int) -> bool:
-    # (2(p-1))^j (p-1+a) (p-1)^k b, j,k >= 0, 0 <= a,b <= p-2, and a <= b when k = 0.
-    # These are exactly the restricted sums of two 1-special partitions.
-    j = 0
-    while j < len(lam) and lam[j] == 2 * (p - 1):
-        j += 1
-    rest = lam[j:]
-    if not rest or not (p - 1 <= rest[0] <= 2 * p - 3):
+    """(2(p-1))^j (p-1+a) (p-1)^k b, j,k >= 0, 0 <= a,b <= p-2, and a <= b when k = 0.
+    These are exactly the restricted sums of two 1-special partitions.
+
+    Equal parts are adjacent, so each run is counted, not walked."""
+    if not lam or lam[0] > 2 * (p - 1):
         return False
-    a = rest[0] - (p - 1)
+    j = lam.count(lam[0]) if lam[0] == 2 * (p - 1) else 0
+    if j == len(lam) or not p - 1 <= lam[j] <= 2 * p - 3:
+        return False
+    a = lam[j] - (p - 1)
     k = 0
-    while 1 + k < len(rest) and rest[1 + k] == p - 1:
-        k += 1
-    tail = rest[1 + k :]
-    if len(tail) > 1:
+    if j + 1 < len(lam) and lam[j + 1] == p - 1:
+        k = lam.count(p - 1) - (a == 0)  # the run after lam_j, not lam_j itself
+    tail = len(lam) - (j + 1 + k)
+    if tail > 1:
         return False
-    b = tail[0] if tail else 0
+    b = lam[-1] if tail else 0
     if b > p - 2:
         return False
     if k == 0 and a > b:
         return False
     return True
+
+
+def _is_restricted_2special(lam: Partition, p: int) -> bool:
+    """is_2special for a restricted lam."""
+    return is_beginning_term(lam, p) or _matches_two_ones_sum(lam, p)
 
 
 def is_2special(lam: Partition, p: int) -> bool:
@@ -91,10 +96,8 @@ def is_2special(lam: Partition, p: int) -> bool:
     canonical shape (2(p-1))^j (p-1+a) (p-1)^k b.  Non-restricted case: the
     restricted digit is (p-2)^k a b and the quotient is a single column.
     """
-    if not lam:
-        return True
     if is_restricted(lam, p):
-        return is_beginning_term(lam, p) or _matches_two_ones_sum(lam, p)
+        return _is_restricted_2special(lam, p)
     lam0, lbar = restricted_split(lam, p)
     return is_beginning_term(lam0, p) and lbar == omega(len(lbar)) and len(lbar) >= 1
 
@@ -107,20 +110,31 @@ def _omega_candidates(lam):
     the difference is a partition exactly when lam_s - 1 >= lam_{s+1}
     (lam_{len+1} = 0), i.e. when row s ends in a removable node.  So only the
     rows of removable_nodes are tried, top to bottom; the last row is always
-    one of them.  The scan costs O(len(lam)) per corner, not per row.
+    one of them.  The rows between two corners are one run of equal parts,
+    so each candidate is built run by run: O(corners) Python steps and one
+    copy of its parts.
     """
     yield lam, 0
-    for s, _ in removable_nodes(lam):
-        # rows of length 1 above a corner occur only when s is the last row,
-        # and lowering them leaves trailing zeros, which are dropped
-        yield tuple(x - 1 for x in lam[:s] if x > 1) + lam[s:], s
+    lowered, top = (), 0
+    for s, x in removable_nodes(lam):
+        # only a last run of 1s lowers to zeros, and those are dropped
+        if x > 1:
+            lowered += (x - 1,) * (s - top)
+        top = s
+        yield lowered + lam[s:], s
 
 
 def two_one_special_witness(lam: Partition, p: int) -> Optional[tuple[Partition, int]]:
-    """A pair (mu, s) with lam = mu + omega_s and mu 2-special, if one exists."""
+    """A pair (mu, s) with lam = mu + omega_s and mu 2-special, if one exists.
+
+    Lowering the corner at row s lowers one difference, lam_s - lam_{s+1},
+    by one, so every candidate of a restricted lam is restricted, and
+    restrictedness is tested once, on lam, not on each candidate.
+    """
     if lam and lam[0] > 2 * p - 1:
         return None
-    return next(((mu, s) for mu, s in _omega_candidates(lam) if is_2special(mu, p)), None)
+    test = _is_restricted_2special if is_restricted(lam, p) else is_2special
+    return next(((mu, s) for mu, s in _omega_candidates(lam) if test(mu, p)), None)
 
 
 def is_21special(lam: Partition, p: int) -> bool:
@@ -212,7 +226,7 @@ def is_middle_term(lam: Partition, p: int) -> bool:
 def is_end_term(lam: Partition, p: int) -> bool:
     """Restricted, not 2-special, and 2-special after removing a column:
     the restricted (2,1)-special partitions that are not 2-special."""
-    return is_restricted(lam, p) and not is_2special(lam, p) and is_21special(lam, p)
+    return is_restricted(lam, p) and not _is_restricted_2special(lam, p) and is_21special(lam, p)
 
 
 def classify_term(lam: Partition, p: int) -> frozenset:
@@ -224,7 +238,7 @@ def classify_term(lam: Partition, p: int) -> frozenset:
         flags.add(MIDDLE)
     if is_end_term(lam, p):
         flags.add(END)
-    if is_restricted(lam, p) and is_2special(lam, p):
+    if is_restricted(lam, p) and _is_restricted_2special(lam, p):
         flags.add(RESTRICTED_2SPECIAL)
     return frozenset(flags)
 
@@ -273,7 +287,7 @@ def standard_parses(lam: Partition, p: int) -> list[StandardParse]:
         if t in memo:
             return memo[t]
         out = []
-        if is_2special(digits[t], p):  # digits are restricted by construction
+        if _is_restricted_2special(digits[t], p):  # digits are restricted by construction
             for rest in parses_from(t + 1):
                 out.append(((digits[t], 0, t),) + rest)
         if is_beginning_term(digits[t], p):
@@ -323,11 +337,15 @@ def specht_d_lower(lam: Partition, p: int) -> bool:
 def specht_d_upper(lam: Partition, p: int) -> bool:
     """Does D^lambda occur in a Specht module of (1,2)-bounded shape?
 
-    Reduces to the lower predicate on the transpose via the sign twist.
+    Reduces to the lower predicate on the transpose via the sign twist,
+    D^lambda = D_lambda' (x) sgn (James, LNM 682).  The differences of lam'
+    are the multiplicities of lam's parts, so lam' is restricted exactly when
+    lam is p-regular, and specht_d_lower's restrictedness check is not
+    repeated on lam'.
     """
     if not is_regular(lam, p):
         raise NotRegular(f"{lam} is not p-regular for p={p}")
-    return specht_d_lower(transpose(lam), p)
+    return is_21special(transpose(lam), p)
 
 
 # --- three-variable injectivity criteria --------------------------------------
@@ -384,7 +402,7 @@ def divisibility_index_n3(lam: Partition, p: int) -> int:
             a, b = fixed[i]
             digit = tuple(v for v in (a + b + d, b + d, d) if v)
             if state == 0:
-                tests = ((is_2special, 0), (is_beginning_term, 1))
+                tests = ((_is_restricted_2special, 0), (is_beginning_term, 1))
             else:
                 tests = ((is_middle_term, 1), (is_end_term, 0))
             moves[key] = tuple(target for test, target in tests if test(digit, p))

@@ -110,7 +110,11 @@ the number of its tableaux, known before any vector is lowered.  It is
 checked after each vector, so a run stops as soon as the sum passes the
 budget and before the Gram matrix is built.  The prefix vectors that the
 trie keeps are not counted, and a character shifted or mapped from its dual
-builds no vectors.  A lam with more columns than the budget stops at once.
+builds no vectors.  A lam with more columns than the budget stops at once,
+and so does a lam in n variables whose lowerings need more than the budget
+in 64-bit words of move table: each lowering's _moves lists 2^(n-2) block
+types, each with a packed delta of up to w 2^n bits, so 16 variables would
+take about 650 MB before the first vector.
 
 Families.  A family is a tuple of factor kinds (FAMILIES), and its degree-r
 part is the sum over the splits r = a_1 + ... + a_m of the products of the
@@ -412,6 +416,12 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
         raise ResourceBudgetExceeded(f"L{list(lam)} has more than {budget} columns")
     hwv = highest_weight_vector(lam, n, p)
     w = hwv.width
+    # one lowering's _moves: 2^(n-2) block types, each delta of up to w 2^n bits
+    words = (1 << n - 2) * (w << n) // 64 if n > 1 else 0
+    if words > budget:
+        raise ResourceBudgetExceeded(
+            f"a lowering of L{list(lam)} in {n} variables needs {words} words of block moves, more than {budget}"
+        )
     numerator = prod(map(factorial, Counter(hwv.cols).values()))
     trie: dict = {}  # op -> (the vector after the prefix ending in op, subtrie)
     coeffs = {}

@@ -11,8 +11,10 @@ e.g. [4,2,1]; the zero partition is [].
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -98,10 +100,20 @@ def subtract(lam: Partition, mu: Partition) -> Optional[Partition]:
 
 
 def is_restricted(lam: Partition, p: int) -> bool:
-    """All successive differences, including the last part, at most p-1."""
-    for i, x in enumerate(lam):
-        nxt = lam[i + 1] if i + 1 < len(lam) else 0
-        if x - nxt > p - 1:
+    """All successive differences, including the last part, at most p-1.
+
+    The differences sum to lam_1, so lam_1 <= p-1 settles it at once.
+    Otherwise only the corners have nonzero differences: each run of equal
+    parts is skipped by one bisection, so the work is O(log len(lam)) per
+    corner, not per row.
+    """
+    if not lam or lam[0] < p:
+        return True
+    i, n = 0, len(lam)
+    while i < n:
+        x = lam[i]
+        i = bisect_right(lam, -x, i + 1, n, key=neg)  # past the last part equal to x
+        if x - (lam[i] if i < n else 0) >= p:
             return False
     return True
 
@@ -208,11 +220,31 @@ def restricted_split(lam: Partition, p: int) -> tuple[Partition, Partition]:
 
 
 def p_adic_digits(lam: Partition, p: int) -> PAdicDigits:
-    """Unique expansion of lam into restricted digits of weight p^i."""
+    """Unique expansion of lam into restricted digits of weight p^i.
+
+    Only the corners of lam have nonzero differences, and every digit is
+    constant on lam's runs of equal parts, so all digits are read from one
+    difference per corner: at each corner the i-th digit's difference is the
+    i-th base-p digit of lam's.  Each digit costs O(corners) Python steps,
+    bottom corner first, plus building its parts; no quotient partition is
+    built.
+    """
+    corners = removable_nodes(lam)[::-1]
+    runs = [row - above for (row, _), (above, _) in zip(corners, [*corners[1:], (0, 0)])]
+    diffs = [col - below for (_, col), (_, below) in zip(corners, [(0, 0), *corners])]
     digits = []
-    while lam:
-        digit, lam = restricted_split(lam, p)
-        digits.append(digit)
+    while diffs:
+        part, parts, quotients = 0, [], []
+        for d, k in zip(diffs, runs):
+            q, r = divmod(d, p)
+            part += r
+            if part:  # the zero rows at the bottom are not parts
+                parts += [part] * k
+            quotients.append(q)
+        digits.append(tuple(reversed(parts)))
+        diffs = quotients
+        while diffs and not diffs[0]:  # the quotient's bottom run is zero: drop it
+            del diffs[0], runs[0]
     return PAdicDigits(tuple(digits), p)
 
 
@@ -296,11 +328,14 @@ class NodeInfo:
 
 
 def removable_nodes(lam: Partition) -> list[tuple[int, int]]:
-    """(row, col) pairs, top to bottom."""
+    """(row, col) pairs, top to bottom: the last row of each run of equal
+    parts, found by one bisection per run, O(log len(lam)) per corner."""
     out = []
-    for i, x in enumerate(lam):
-        if i + 1 == len(lam) or lam[i + 1] < x:
-            out.append((i + 1, x))
+    i, n = 0, len(lam)
+    while i < n:
+        x = lam[i]
+        i = bisect_right(lam, -x, i + 1, n, key=neg)
+        out.append((i, x))
     return out
 
 

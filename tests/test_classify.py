@@ -10,6 +10,7 @@ from schurkit.classify import (
     MIDDLE,
     RESTRICTED_2SPECIAL,
     ParseBlock,
+    _matches_two_ones_sum,
     _omega_candidates,
     classify_term,
     divisibility_index_n3,
@@ -38,6 +39,8 @@ from schurkit.partitions import (
     p_adic_digits,
     partition,
     partitions_up_to,
+    removable_nodes,
+    restricted_split,
     subtract,
     transpose,
 )
@@ -99,8 +102,6 @@ def test_2special_restricted_matches_brute_search(p):
     # restricted 2-special = (p-2)^k a b or a sum of two 1-special partitions;
     # sums with no (p-1)-part fall inside the (p-2)^k a b shape, so the union
     # must agree with the direct search over first summands
-    from schurkit.classify import _matches_two_ones_sum
-
     for lam in partitions_up_to(14):
         if is_restricted(lam, p):
             got = is_beginning_term(lam, p) or _matches_two_ones_sum(lam, p)
@@ -167,6 +168,81 @@ def test_column_searches_match_the_full_scan(p, monkeypatch):
     monkeypatch.setattr(classify, "_omega_candidates", full_column_scan)
     for lam, got in zip(sample, corners):
         assert got == answers(lam), lam
+
+
+# --- the row scans against their row-by-row definitions ------------------------
+
+
+def literal_is_restricted(lam, p):
+    return all(x - y <= p - 1 for x, y in zip(lam, (*lam[1:], 0)))
+
+
+def literal_removable_nodes(lam):
+    return [(i + 1, x) for i, x in enumerate(lam) if i + 1 == len(lam) or lam[i + 1] < x]
+
+
+def literal_p_adic_digits(lam, p):
+    digits = []
+    while lam:
+        digit, lam = restricted_split(lam, p)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def literal_two_ones_sum(lam, p):
+    """(2(p-1))^j (p-1+a) (p-1)^k b, walked row by row."""
+    j = 0
+    while j < len(lam) and lam[j] == 2 * (p - 1):
+        j += 1
+    if j == len(lam) or not p - 1 <= lam[j] <= 2 * p - 3:
+        return False
+    k = 0
+    while j + 1 + k < len(lam) and lam[j + 1 + k] == p - 1:
+        k += 1
+    tail = lam[j + 1 + k :]
+    b = tail[0] if tail else 0
+    return len(tail) <= 1 and b <= p - 2 and (k > 0 or lam[j] - (p - 1) <= b)
+
+
+def literal_beginning_term(lam, p):
+    return all(x <= p - 2 for x in lam) and all(x == p - 2 for x in lam[:-2])
+
+
+ROW_SCAN_SAMPLE = [*partitions_up_to(20), *THREE_ROWS, *LONG_COLUMNS]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_row_scans_match_their_row_by_row_definitions(p):
+    for lam in ROW_SCAN_SAMPLE:
+        assert is_restricted(lam, p) == literal_is_restricted(lam, p), lam
+        assert removable_nodes(lam) == literal_removable_nodes(lam), lam
+        assert p_adic_digits(lam, p).digits == literal_p_adic_digits(lam, p), lam
+        assert _matches_two_ones_sum(lam, p) == literal_two_ones_sum(lam, p), lam
+        assert is_beginning_term(lam, p) == literal_beginning_term(lam, p), lam
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_restrictedness_facts_the_searches_rely_on(p):
+    # the differences of lam' are the multiplicities of lam's parts, and
+    # lowering a corner lowers one difference by one
+    for lam in ROW_SCAN_SAMPLE:
+        assert is_regular(lam, p) == literal_is_restricted(transpose(lam), p), lam
+        if literal_is_restricted(lam, p):
+            assert all(literal_is_restricted(mu, p) for mu, _ in _omega_candidates(lam)), lam
+
+
+def literal_transpose(lam):
+    return tuple(sum(1 for x in lam if x > c) for c in range(lam[0] if lam else 0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_specht_upper_is_the_full_column_scan_of_the_transpose(p):
+    for lam in [*partitions_up_to(14), *THREE_ROWS]:
+        if not is_regular(lam, p):
+            continue
+        cols = literal_transpose(lam)
+        want = (not cols or cols[0] <= 2 * p - 1) and any(is_2special(mu, p) for mu, _ in full_column_scan(cols))
+        assert specht_d_upper(lam, p) == want, lam
 
 
 def test_piecewise_examples():

@@ -746,6 +746,15 @@ def test_huge_degrees_answer_or_exceed_the_budget(argv):
             assert doc == {"schur": {f"[{HUGE}]": 1}}
 
 
+def test_a_partition_in_16_variables_stops_before_its_move_tables():
+    # one lowering over 16 letters lists 2^14 block types with deltas of up to
+    # 5 * 2^16 bits, about 650 MB, more than the 1 GiB cap leaves
+    result = _capped(["enumerate", "--family", "S", "--p", "2", "--n", "16", "--degree", "16"])
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr.startswith("schurkit: resource budget exceeded: ") and result.stderr.count("\n") == 1
+    assert "L[16] in 16 variables" in result.stderr
+
+
 @pytest.mark.parametrize(
     "command, large, small",
     [

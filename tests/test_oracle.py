@@ -949,6 +949,16 @@ def test_budget_counts_orbit_terms_and_gram_entries():
     assert SimpleTable(3, 3, budget=8).char((2, 1)).coeffs == {(2, 1): 1, (1, 1, 1): 1}
 
 
+def test_budget_counts_a_lowerings_move_table_before_it_is_built():
+    # over 8 letters _moves lists 2^6 block types, each delta of up to w 2^8
+    # bits, w = 2 for the columns (7, 1): 64 * 512 bits, or 512 words
+    _moves.cache_clear()
+    with pytest.raises(ResourceBudgetExceeded, match=r"L\[2, 1, 1, 1, 1, 1, 1\] in 8 variables needs 512 words"):
+        SimpleTable(2, 8, budget=511).char((2, 1, 1, 1, 1, 1, 1))
+    assert _moves.cache_info().currsize == 0
+    assert SimpleTable(2, 8, budget=512).char((2, 1, 1, 1, 1, 1, 1)).coeffs == {(2, 1, 1, 1, 1, 1, 1): 1, (1,) * 8: 6}
+
+
 def test_table_cache_and_persistence(tmp_path):
     tab = SimpleTable(3, 2)
     for lam in partitions_up_to(6, max_len=2):
