@@ -338,14 +338,11 @@ def specht_d_upper(lam: Partition, p: int) -> bool:
     """Does D^lambda occur in a Specht module of (1,2)-bounded shape?
 
     Reduces to the lower predicate on the transpose via the sign twist,
-    D^lambda = D_lambda' (x) sgn (James, LNM 682).  The differences of lam'
-    are the multiplicities of lam's parts, so lam' is restricted exactly when
-    lam is p-regular, and specht_d_lower's restrictedness check is not
-    repeated on lam'.
+    D^lambda = D_lambda' (x) sgn (James, LNM 682).
     """
     if not is_regular(lam, p):
         raise NotRegular(f"{lam} is not p-regular for p={p}")
-    return is_21special(transpose(lam), p)
+    return specht_d_lower(transpose(lam), p)
 
 
 # --- three-variable injectivity criteria --------------------------------------

@@ -110,11 +110,16 @@ the number of its tableaux, known before any vector is lowered.  It is
 checked after each vector, so a run stops as soon as the sum passes the
 budget and before the Gram matrix is built.  The prefix vectors that the
 trie keeps are not counted, and a character shifted or mapped from its dual
-builds no vectors.  A lam with more columns than the budget stops at once,
-and so does a lam in n variables whose lowerings need more than the budget
-in 64-bit words of move table: each lowering's _moves lists 2^(n-2) block
-types, each with a packed delta of up to w 2^n bits, so 16 variables would
-take about 650 MB before the first vector.
+builds no vectors.  A lam with more columns than the budget stops at once.
+A lam whose weights below lam need a lowering also stops, before its first
+lowering, when one lowering's move table (_moves) would cost more than the
+budget in held terms.  The table lists 2^(n-2) block types, each with a
+packed delta averaging w 2^(n-1) bits, and a held term (a dict slot and its
+orbit's int) takes about 128 bytes, so each row is charged one term plus one
+per TERM_BITS of its delta (_move_table_terms).  One table in 16 variables
+would take about 335 MB; in 13 it takes a few MB and is within the default
+budget.  A lam with no weight below it, such as 1^n, builds no table and is
+not charged.
 
 Families.  A family is a tuple of factor kinds (FAMILIES), and its degree-r
 part is the sum over the splits r = a_1 + ... + a_m of the products of the
@@ -190,6 +195,16 @@ def highest_weight_vector(lam: Partition, n: int, p: int) -> TensorVector:
     v = TensorVector(n, p, transpose(lam), {})
     v.entries[sum(1 << v.width * ((1 << c) - 1) for c in v.cols)] = 1
     return v
+
+
+TERM_BITS = 1024  # about the 128 bytes of one held orbit term: its dict slot and int
+
+
+def _move_table_terms(n: int, w: int) -> int:
+    """What one lowering's _moves table over n letters costs in held terms:
+    2^(n-2) rows, each one term for its tuple and one per TERM_BITS of its
+    delta, which averages w 2^(n-1) bits."""
+    return (1 << n - 2) * (1 + (w << n - 1) // TERM_BITS)
 
 
 @lru_cache(maxsize=None)
@@ -409,24 +424,24 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
 
     Raises ResourceBudgetExceeded as soon as the orbit terms of one weight's
     vectors plus its d^2 Gram entries, d the number of its tableaux, pass
-    budget, before the Gram matrix is built, and at once when lam has more
-    columns than budget.
+    budget, before the Gram matrix is built; at once when lam has more
+    columns than budget; and before the first lowering when one move table
+    costs more than budget (_move_table_terms).
     """
     if lam and lam[0] > budget:
         raise ResourceBudgetExceeded(f"L{list(lam)} has more than {budget} columns")
     hwv = highest_weight_vector(lam, n, p)
     w = hwv.width
-    # one lowering's _moves: 2^(n-2) block types, each delta of up to w 2^n bits
-    words = (1 << n - 2) * (w << n) // 64 if n > 1 else 0
-    if words > budget:
-        raise ResourceBudgetExceeded(
-            f"a lowering of L{list(lam)} in {n} variables needs {words} words of block moves, more than {budget}"
-        )
     numerator = prod(map(factorial, Counter(hwv.cols).values()))
     trie: dict = {}  # op -> (the vector after the prefix ending in op, subtrie)
     coeffs = {}
     max_dim = 0
     for nu in _dominated(lam, n):
+        if nu != lam and _move_table_terms(n, w) > budget:  # nu needs a lowering
+            raise ResourceBudgetExceeded(
+                f"a lowering of L{list(lam)} in {n} variables needs a move table of "
+                f"{_move_table_terms(n, w)} terms, more than {budget}"
+            )
         d = len(_peel(lam, nu))  # the number of tableaux
         held = d * d
         rows = []

@@ -950,13 +950,23 @@ def test_budget_counts_orbit_terms_and_gram_entries():
 
 
 def test_budget_counts_a_lowerings_move_table_before_it_is_built():
-    # over 8 letters _moves lists 2^6 block types, each delta of up to w 2^8
-    # bits, w = 2 for the columns (7, 1): 64 * 512 bits, or 512 words
+    # over 12 letters _moves lists 2^10 block types, each one term for its row
+    # and 4 for a delta averaging 2 * 2^11 bits, w = 2 for the columns (11, 1)
+    lam = (2,) + (1,) * 10
     _moves.cache_clear()
-    with pytest.raises(ResourceBudgetExceeded, match=r"L\[2, 1, 1, 1, 1, 1, 1\] in 8 variables needs 512 words"):
-        SimpleTable(2, 8, budget=511).char((2, 1, 1, 1, 1, 1, 1))
+    with pytest.raises(ResourceBudgetExceeded, match=r"L\[2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1\] in 12 variables needs a move table of 5120 terms"):
+        SimpleTable(2, 12, budget=5119).char(lam)
     assert _moves.cache_info().currsize == 0
-    assert SimpleTable(2, 8, budget=512).char((2, 1, 1, 1, 1, 1, 1)).coeffs == {(2, 1, 1, 1, 1, 1, 1): 1, (1,) * 8: 6}
+    assert SimpleTable(2, 12, budget=5120).char(lam).coeffs == {lam: 1, (1,) * 12: 10}
+    # 1^16 in 16 variables has no weight below it, so its table (540672
+    # terms) is neither built nor charged
+    _moves.cache_clear()
+    assert SimpleTable(2, 16).char((1,) * 16).coeffs == {(1,) * 16: 1}
+    assert _moves.cache_info().currsize == 0
+    # a few-MB table in 13 variables is within the default budget
+    lam = (2,) + (1,) * 11
+    assert SimpleTable(2, 13).char(lam).coeffs == {lam: 1, (1,) * 13: 12}
+    _moves.cache_clear()
 
 
 def test_table_cache_and_persistence(tmp_path):
