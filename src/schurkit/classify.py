@@ -12,7 +12,12 @@ truncation by p-th powers, and W the exterior algebra:
   term without being one, and an end term is a restricted (2,1)-special
   partition that is not 2-special.
 
-All predicates are pure functions of (partition, prime).
+All predicates are pure functions of (partition, prime).  One request asks
+several of them about the same lam, and primitive_index, standard_parses,
+is_2good and is_critical_n3 all read one digit parse, so the parse (_parses)
+and the digits (partitions.p_adic_digits) are memoised.  Each memo keeps only
+its last partitions.MEMO_SIZE answers: classify-stream and other long-lived
+callers never clear them, and their gain comes from inside one request.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Optional
 from .errors import LengthExceedsN, NotRegular, NotRestricted, PrimeTooSmall
 from .partitions import (
     Partition,
+    PartitionMemo,
     is_regular,
     is_restricted,
     omega,
@@ -264,7 +270,7 @@ def primitive_index(lam: Partition, p: int) -> Optional[int]:
     """
     if not lam:
         return 0
-    return next((parse.blocks[0].index for parse in standard_parses(lam, p) if len(parse.blocks) == 1), None)
+    return next((parse.blocks[0].index for parse in _parses(lam, p) if len(parse.blocks) == 1), None)
 
 
 def standard_parses(lam: Partition, p: int) -> list[StandardParse]:
@@ -274,9 +280,16 @@ def standard_parses(lam: Partition, p: int) -> list[StandardParse]:
     counts); an index-m block is a beginning term, m-1 middle terms and an
     end term.  The uniqueness statement for standard partitions predicts at
     most one parse; callers may rely on the list but not on that bound.
+    The list is the caller's own; the parses in it are shared and frozen.
     """
+    return list(_parses(lam, p))
+
+
+@PartitionMemo
+def _parses(lam: Partition, p: int) -> tuple[StandardParse, ...]:
+    """standard_parses as a tuple; a PartitionMemo keeps the last answers."""
     if not lam:
-        return [StandardParse(())]
+        return (StandardParse(()),)
     digits = p_adic_digits(lam, p).digits
     n = len(digits)
     memo: dict[int, list[tuple]] = {}
@@ -304,19 +317,19 @@ def standard_parses(lam: Partition, p: int) -> list[StandardParse]:
         memo[t] = out
         return out
 
-    return [
+    return tuple([
         StandardParse(tuple(ParseBlock(prim, idx, shift) for prim, idx, shift in chain))
         for chain in parses_from(0)
-    ]
+    ])
 
 
 def is_standard(lam: Partition, p: int) -> bool:
-    return bool(standard_parses(lam, p))
+    return bool(_parses(lam, p))
 
 
 def is_2good(lam: Partition, p: int) -> bool:
     """Factor of the twofold symmetric power: exactly the standard partitions."""
-    return is_standard(lam, p)
+    return bool(_parses(lam, p))
 
 
 # --- symmetric-group corollaries ---------------------------------------------
@@ -377,9 +390,15 @@ def divisibility_index_n3(lam: Partition, p: int) -> int:
     digit, 0 -> 1 on a beginning term, 1 -> 1 on a middle term and 1 -> 0 on
     an end term.  A zero digit is 2-special and neither a middle nor an end
     term, so zero digits above the top keep acceptance, and every m is read
-    to the same K digits, those of max(x, y, lam_3).  The moves are memoised
-    for this call, keyed by (i, m_i, state), so each term test runs at most
-    once per (i, m_i, state) across all j.
+    to the same K digits, those of max(x, y, lam_3).
+
+    A digit can allow two moves, so the walk carries the set of reachable
+    states as a 2-bit mask: bit 0 set when state 0 (between blocks) is
+    reachable, bit 1 when state 1 (inside a block) is.  The walk starts at
+    mask 1 and accepts when bit 0 is set at the end; mask 0 rejects at once.
+    The step from each mask is memoised for this call, keyed by
+    (i, m_i, mask), and the step from mask 3 is the union of those from 1 and
+    2, so each term test runs at most once per (i, m_i, state) across all j.
     """
     _require_len3(lam)
     if len(lam) < 3:
@@ -391,28 +410,33 @@ def divisibility_index_n3(lam: Partition, p: int) -> int:
     while rest:
         fixed.append((x % p, y % p))
         x, y, rest = x // p, y // p, rest // p
-    moves: dict[tuple, tuple] = {}
+    steps: dict[tuple, int] = {}
 
-    def move(i: int, d: int, state: int) -> tuple:
-        key = (i, d, state)
-        if key not in moves:
-            a, b = fixed[i]
-            digit = tuple(v for v in (a + b + d, b + d, d) if v)
-            if state == 0:
-                tests = ((_is_restricted_2special, 0), (is_beginning_term, 1))
+    def step(i: int, d: int, mask: int) -> int:
+        """The mask reached from mask on digit i when m_i = d."""
+        key = (i, d, mask)
+        if key not in steps:
+            if mask == 3:
+                steps[key] = step(i, d, 1) | step(i, d, 2)
             else:
-                tests = ((is_middle_term, 1), (is_end_term, 0))
-            moves[key] = tuple(target for test, target in tests if test(digit, p))
-        return moves[key]
+                a, b = fixed[i]
+                digit = tuple(v for v in (a + b + d, b + d, d) if v)
+                if mask == 1:  # from state 0: to 0 on a 2-special digit, to 1 on a beginning term
+                    to0, to1 = _is_restricted_2special, is_beginning_term
+                else:  # from state 1: to 0 on an end term, to 1 on a middle term
+                    to0, to1 = is_end_term, is_middle_term
+                steps[key] = to0(digit, p) | to1(digit, p) << 1
+        return steps[key]
 
     for j in range(top):
-        m, states = top - j, (0,)
+        m, mask = top - j, 1
         for i in range(len(fixed)):
-            states = tuple({target for s in states for target in move(i, m % p, s)})
-            if not states:
+            key = (i, m % p, mask)
+            mask = steps[key] if key in steps else step(*key)
+            if not mask:
                 break
             m //= p
-        if 0 in states:
+        if mask & 1:
             return j
     return top
 

@@ -3,6 +3,8 @@
 A partition is stored as a tuple of positive integers, weakly decreasing,
 conceptually padded with zeros on the right; the empty tuple is the zero
 partition.  All functions here are pure and safe to call concurrently.
+p_adic_digits keeps its last MEMO_SIZE answers (a PartitionMemo), because
+one classification request reads the same digits several times.
 
 Serialization convention: a partition is a JSON array of positive integers,
 e.g. [4,2,1]; the zero partition is [].
@@ -13,6 +15,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache, update_wrapper
 from itertools import accumulate
 from operator import neg
 from typing import Iterable, Iterator, Optional, Sequence
@@ -213,12 +216,37 @@ def _from_differences(diffs: Sequence[int]) -> Partition:
     return tuple(parts)
 
 
+# answers kept per memo: enough for the partitions one classification request
+# derives from its lam, and a constant, so a long-lived caller that never
+# clears the memo holds no more than this
+MEMO_SIZE = 16
+
+
+class PartitionMemo:
+    """A function of (lam, p) with an lru_cache of its last MEMO_SIZE answers.
+
+    The cache is keyed on (tuple(lam), p), so a list argument answers as its
+    tuple does; cache_info and cache_clear are the lru_cache's.  Every caller
+    gets the same answer object, so only immutable answers are memoised.
+    """
+
+    def __init__(self, fn):
+        self._cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+        self.cache_info = self._cached.cache_info
+        self.cache_clear = self._cached.cache_clear
+        update_wrapper(self, fn)
+
+    def __call__(self, lam, p):
+        return self._cached(tuple(lam), p)
+
+
 def restricted_split(lam: Partition, p: int) -> tuple[Partition, Partition]:
     """Split lam = lam0 + p*lambar with lam0 the restricted digit."""
     diffs = [x - y for x, y in zip(lam, (*lam[1:], 0))]
     return _from_differences([d % p for d in diffs]), _from_differences([d // p for d in diffs])
 
 
+@PartitionMemo
 def p_adic_digits(lam: Partition, p: int) -> PAdicDigits:
     """Unique expansion of lam into restricted digits of weight p^i.
 

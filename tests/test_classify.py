@@ -1,15 +1,17 @@
 import functools
+import itertools
 import random
 
 import pytest
 
-from schurkit import classify
+from schurkit import classify, partitions
 from schurkit.classify import (
     BEGINNING,
     END,
     MIDDLE,
     RESTRICTED_2SPECIAL,
     ParseBlock,
+    StandardParse,
     _matches_two_ones_sum,
     _omega_candidates,
     classify_term,
@@ -373,6 +375,35 @@ def test_is_2good_examples():
     assert not is_2good((2, 2, 2), 5)
     assert is_2good((6, 4, 2), 2)
     assert is_standard((), 2)
+
+
+def test_one_request_parses_once():
+    # a count, not a timing: the five readers of one (lam, p) share one digit
+    # expansion and one parse
+    lam, p = (7, 4, 3), 3
+    memos = (classify._parses, p_adic_digits)
+    for memo in memos:
+        memo.cache_clear()
+    answers = [fn(lam, p) for fn in (primitive_index, standard_parses, is_2good, is_critical_n3, p_adic_digits)]
+    assert [memo.cache_info().misses for memo in memos] == [1, 1]
+    assert answers[:4] == [1, [StandardParse((ParseBlock(lam, 1, 0),))], True, True]
+    assert answers[4].digits == ((1, 1), (2, 1, 1))
+
+    # the list is the caller's own
+    standard_parses(lam, p).clear()
+    assert standard_parses(lam, p) == answers[1]
+
+    # a list argument answers as its tuple does
+    for fn, expected in zip((primitive_index, standard_parses, is_2good, is_critical_n3, p_adic_digits), answers):
+        assert fn(list(lam), p) == expected, fn
+
+    # the memos stay bounded however many requests pass through them
+    for mu in itertools.islice(partitions_up_to(20), 1000):
+        primitive_index(mu, p)
+        p_adic_digits(mu, p)
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize == partitions.MEMO_SIZE, memo
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import inspect
 import json
@@ -10,7 +11,7 @@ from math import comb, factorial, inf, prod
 
 import pytest
 
-from schurkit import characters, classify, oracle
+from schurkit import characters, classify, oracle, partitions
 from schurkit.characters import (
     _horizontal_strip_removals,
     decompose_schur,
@@ -627,17 +628,20 @@ def test_module_memos_clear_to_cold():
     def held_state(namespace):
         return [k for k, x in namespace.items() if not k.startswith("__") and isinstance(x, (dict, list, set))]
 
-    for mod in (oracle, characters):
+    modules = (oracle, characters, classify, partitions)
+    for mod in modules:
         assert held_state(vars(mod)) == [], mod.__name__
         for name, value in vars(mod).items():
-            if isinstance(value, type) and value.__module__ == mod.__name__:
+            # an Enum's member tables are fixed when the class is made
+            if isinstance(value, type) and value.__module__ == mod.__name__ and not issubclass(value, enum.Enum):
                 assert held_state(vars(value)) == [], name
             if isinstance(value, types.FunctionType):
                 assert not vars(value), (mod.__name__, name)
+    # each memo is named where it is defined; classify also imports p_adic_digits
     memos = {
-        (mod.__name__, name)
-        for mod in (oracle, characters)
-        for name, value in vars(mod).items()
+        (value.__module__, value.__name__)
+        for mod in modules
+        for value in vars(mod).values()
         if callable(getattr(value, "cache_clear", None))
     }
     assert memos == {
@@ -646,11 +650,15 @@ def test_module_memos_clear_to_cold():
         ("schurkit.oracle", "_splits"),
         ("schurkit.characters", "kostka"),
         ("schurkit.characters", "_orbit_size"),
+        ("schurkit.partitions", "p_adic_digits"),
+        ("schurkit.classify", "_parses"),
     }
     SimpleTable(2, 3).char((4, 2))  # lowers by E^(2), so it fills _splits also when run alone
     product_char([("S", 2), ("S", 1)], 2, 3)
+    classify.is_2good((7, 4, 3), 3)
     assert _peel.cache_info().currsize > 0 and _splits.cache_info().currsize > 0
     assert _moves.cache_info().currsize > 0 and characters._orbit_size.cache_info().currsize > 0
+    assert classify._parses.cache_info().currsize > 0 and partitions.p_adic_digits.cache_info().currsize > 0
     for name, mod in list(sys.modules.items()):
         if name.startswith("schurkit."):
             for value in vars(mod).values():
@@ -660,6 +668,8 @@ def test_module_memos_clear_to_cold():
     assert _moves.cache_info().currsize == 0
     assert _splits.cache_info().currsize == 0
     assert characters._orbit_size.cache_info().currsize == 0
+    assert classify._parses.cache_info().currsize == 0
+    assert partitions.p_adic_digits.cache_info().currsize == 0
 
 
 def test_gram_sanity_invariants():
