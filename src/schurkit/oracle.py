@@ -70,6 +70,20 @@ operator prefix is lowered once.  The Gram matrix is built from the
 tableau vectors themselves, summed orbit by orbit over the vectors that hold
 each orbit, and its rank is the multiplicity of nu.
 
+Pruning.  A trie node's prefix lowers v to a weight nu'.  The character is
+symmetric, so dim L(lam)_nu' = dim L(lam)_sort(nu'), and when sort(nu') was
+visited and its rank was 0 the prefix vector lies in the radical.  The
+radical is a submodule (see Correctness), so every lowering of that vector
+lies in it too and pairs to zero with every row: leaving its row out keeps
+the rank.  So a node is created without a vector when sort(nu') is a weight
+this call recorded with rank 0, and every tableau through it is left out of
+its weight's rows; a weight whose rows are all left out has rank 0 without a
+Gram matrix.  sort(nu') strictly dominates the weight of every tableau
+through the node, so the descending-lex walk has visited it first, but only
+ranks this call computed for lam are read, whatever the order.  The prune
+pays where most weights of L(lam) have multiplicity 0, as at small p and
+high degree.
+
 Full columns.  When lam has n parts, its first k = lam_n columns hold the
 full block 1..n in every word.  A full block holds every letter, so no
 lowering moves it, and in an orbit it is the only block of height n, so it
@@ -105,21 +119,22 @@ check of verify's oracle-self, which compares the tables of n and n + 1
 variables, compares two independent computations only at degrees above n.
 
 Budget.  A table's budget caps what one dominant weight holds: the orbit
-terms of its tableau vectors plus the d^2 entries of its Gram matrix, d being
-the number of its tableaux, known before any vector is lowered.  It is
+terms of its tableau vectors plus the d^2 entries of its Gram matrix, d
+being the number of its tableaux, known before any vector is lowered.  It is
 checked after each vector, so a run stops as soon as the sum passes the
-budget and before the Gram matrix is built.  The prefix vectors that the
-trie keeps are not counted, and a character shifted or mapped from its dual
-builds no vectors.  A lam with more columns than the budget stops at once.
-A lam whose weights below lam need a lowering also stops, before its first
-lowering, when one lowering's move table (_moves) would cost more than the
-budget in held terms.  The table lists 2^(n-2) block types, each with a
-packed delta averaging w 2^(n-1) bits, and a held term (a dict slot and its
-orbit's int) takes about 128 bytes, so each row is charged one term plus one
-per TERM_BITS of its delta (_move_table_terms).  One table in 16 variables
-would take about 335 MB; in 13 it takes a few MB and is within the default
-budget.  A lam with no weight below it, such as 1^n, builds no table and is
-not charged.
+budget and before the Gram matrix is built.  A row left out by the prune
+holds no terms, while d^2 still counts every tableau.  The prefix vectors
+that the trie keeps are not counted, and a character shifted or mapped from
+its dual builds no vectors.  A lam with more columns than the budget stops
+at once.  A lam whose weights below lam need a lowering also stops, before
+its first lowering, when one lowering's move table (_moves) would cost more
+than the budget in held terms.  The table lists 2^(n-2) block types, each
+with a packed delta averaging w 2^(n-1) bits, and a held term (a dict slot
+and its orbit's int) takes about 128 bytes, so each row is charged one term
+plus one per TERM_BITS of its delta (_move_table_terms).  One table in 16
+variables would take about 335 MB; in 13 it takes a few MB and is within the
+default budget.  A lam with no weight below it, such as 1^n, builds no table
+and is not charged.
 
 Families.  A family is a tuple of factor kinds (FAMILIES), and its degree-r
 part is the sum over the splits r = a_1 + ... + a_m of the products of the
@@ -339,6 +354,20 @@ def _tableau_operators(lam: Partition, nu: tuple):
         yield sorted(ops, reverse=True)
 
 
+PRUNED = (None, None)  # a trie node whose prefix vector lies in the radical
+
+
+def _prefix_weight(lam: Partition, n: int, ops) -> Partition:
+    """The dominant weight of the vector that the operators (r, j, t), each
+    moving t from coordinate r to j, lower lam's highest weight vector to:
+    the weight sorted, zeros dropped."""
+    weight = list(lam) + [0] * (n - len(lam))
+    for r, j, t in ops:
+        weight[r - 1] -= t
+        weight[j - 1] += t
+    return tuple(sorted(filter(None, weight), reverse=True))
+
+
 def _gram_rank(rows: list, p: int, w: int, numerator: int) -> int:
     """Rank of the Gram matrix <a, b> = sum_O |O| a_O b_O of rows of packed
     orbits of field width w, whose columns give |O| the numerator
@@ -420,7 +449,9 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
     are the rows of the Gram matrix unreduced: they are a basis of the weight
     space, and the Gram matrix of any spanning set has the form's rank.  The
     vectors of the proper operator prefixes are shared by all of lam's
-    weights; the last operator of each tableau is applied unstored.
+    weights; the last operator of each tableau is applied unstored.  A
+    prefix whose weight sorts to one of rank 0 is not lowered, and the
+    tableaux through it are left out (see Pruning in the module docstring).
 
     Raises ResourceBudgetExceeded as soon as the orbit terms of one weight's
     vectors plus its d^2 Gram entries, d the number of its tableaux, pass
@@ -433,8 +464,9 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
     hwv = highest_weight_vector(lam, n, p)
     w = hwv.width
     numerator = prod(map(factorial, Counter(hwv.cols).values()))
-    trie: dict = {}  # op -> (the vector after the prefix ending in op, subtrie)
+    trie: dict = {}  # op -> (the vector after the prefix ending in op, subtrie), or PRUNED
     coeffs = {}
+    zeros = set()  # the weights visited here whose rank is 0
     max_dim = 0
     for nu in _dominated(lam, n):
         if nu != lam and _move_table_terms(n, w) > budget:  # nu needs a lowering
@@ -447,23 +479,29 @@ def _simple_char_by_gram(lam: Partition, p: int, n: int, budget: int) -> tuple[S
         rows = []
         for ops in _tableau_operators(lam, nu):
             vec, node = hwv, trie
-            for op in ops[:-1]:
+            for depth, op in enumerate(ops[:-1]):
                 hit = node.get(op)
                 if hit is None:
-                    hit = node[op] = (apply_lowering(vec, *op), {})
+                    pruned = _prefix_weight(lam, n, ops[: depth + 1]) in zeros
+                    hit = node[op] = PRUNED if pruned else (apply_lowering(vec, *op), {})
                 vec, node = hit
-            if ops:
-                vec = apply_lowering(vec, *ops[-1])
-            held += len(vec.entries)
-            if held > budget:
-                raise ResourceBudgetExceeded(
-                    f"weight {list(nu)} of L{list(lam)} needs more than {budget} orbit terms and Gram entries"
-                )
-            rows.append(vec.entries)
+                if vec is None:
+                    break
+            else:  # no prefix of ops was pruned
+                if ops:
+                    vec = apply_lowering(vec, *ops[-1])
+                held += len(vec.entries)
+                if held > budget:
+                    raise ResourceBudgetExceeded(
+                        f"weight {list(nu)} of L{list(lam)} needs more than {budget} orbit terms and Gram entries"
+                    )
+                rows.append(vec.entries)
         max_dim = max(max_dim, d)
         rank = _gram_rank(rows, p, w, numerator)
         if rank:
             coeffs[nu] = rank
+        else:
+            zeros.add(nu)
     return SymChar(n, sum(lam), coeffs), max_dim
 
 
@@ -635,6 +673,7 @@ class SimpleTable:
     def _records(self, path) -> Iterator[tuple[Partition, SymChar]]:
         """The checked (lambda, character) records of path, in file order
         (see load)."""
+        weights: dict = {}  # key text -> its weight, so each key is parsed once per file
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -645,7 +684,12 @@ class SimpleTable:
                     lam = partition(rec["lambda"])
                     if len(lam) > self.n:
                         raise LengthExceedsN(f"lambda {list(lam)} has more than {self.n} parts")
-                    coeffs = {partition(json.loads(k)): v for k, v in rec["char"].items()}
+                    coeffs = {}
+                    for k, v in rec["char"].items():
+                        mu = weights.get(k)
+                        if mu is None:
+                            mu = weights[k] = partition(json.loads(k))
+                        coeffs[mu] = v
                     if len(coeffs) != len(rec["char"]):
                         raise SchurkitError(f"a weight is listed twice: {rec['char']}")
                     if any(type(c) is not int for c in coeffs.values()):

@@ -292,7 +292,8 @@ def p_core(lam: Partition, p: int) -> Partition:
 
     Implemented on first-column hook lengths (beta-numbers): drop each bead
     to the lowest free level of its runner on the p-runner abacus.  This is
-    order-independent by construction and costs O(len^2).
+    order-independent by construction and costs O(len log len + p), the
+    sort of the new beta-numbers and the p runners.
     """
     n = len(lam)
     if n == 0:
@@ -306,7 +307,7 @@ def p_core(lam: Partition, p: int) -> Partition:
         for level in range(len(beads)):
             new_beta.append(level * p + res)
     new_beta.sort(reverse=True)
-    return partition(new_beta[i] - (n - 1 - i) for i in range(n))
+    return tuple(x for x in (b - (n - 1 - i) for i, b in enumerate(new_beta)) if x)
 
 
 def rim_hook_removals(lam: Partition, p: int) -> list[Partition]:

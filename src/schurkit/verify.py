@@ -80,7 +80,8 @@ FAST_TIER = {
 # the fast tier plus the frontier: the configs where degree and n grow
 EXTENDED_TIER = {
     "thm-2good": FAST_TIER["thm-2good"]
-    + [(3, 3, 24), (5, 3, 16), (3, 4, 14), (3, 4, 18), (5, 4, 16), (2, 5, 10), (3, 5, 12), (2, 6, 8)],
+    + [(3, 3, 24), (5, 3, 16), (3, 4, 14), (3, 4, 18), (5, 4, 16), (2, 5, 10), (3, 5, 12), (2, 6, 8)]
+    + [(2, 4, 24), (2, 6, 14)],
     "thm-21special": FAST_TIER["thm-21special"] + [(7, 3, 39), (3, 5, 25)],
     "1special": FAST_TIER["1special"],
     "combinatorial": FAST_TIER["combinatorial"],

@@ -531,6 +531,12 @@ LARGER_CASES = ((2, 3, 9, 12), (3, 3, 9, 13), (2, 5, 0, 7), (3, 4, 8, 9), (5, 3,
 SMALL_DIGEST = "fbe2155d4adf8227bef3afc818477822f845eeee96863d34bb5e2af99203d91a"
 LARGER_DIGEST = "35fd455c8a282de59f73b07051644679055e21862f2f317b4d291812bc5ab4f9"
 
+# (p, n, smallest degree, largest degree) of the cases where most weights of
+# L(lam) have multiplicity 0, so that the trie is pruned at many prefixes;
+# their _case_digest was recorded from the kernel that lowered every prefix
+PRUNED_CASES = ((2, 4, 13, 18), (2, 5, 8, 13), (2, 6, 9, 12), (3, 4, 10, 14))
+PRUNED_DIGEST = "2c8a500f06274fdf59379f345dd44e3a13a8a6c832bbcd361424b11a4ec75747"
+
 
 def _small_cases():
     for p in (2, 3, 5, 7):
@@ -538,8 +544,8 @@ def _small_cases():
             yield p, n, list(partitions_up_to(7 if n == 4 else 8, max_len=n))
 
 
-def _larger_cases():
-    for p, n, lo, hi in LARGER_CASES:
+def _degree_ranges(cases):
+    for p, n, lo, hi in cases:
         yield p, n, [lam for lam in partitions_up_to(hi, max_len=n) if sum(lam) >= lo]
 
 
@@ -561,7 +567,36 @@ def test_characters_match_the_recorded_digests():
     # the exactness gate of every kernel change: characters and largest
     # weight spaces, whether computed, shifted or mapped from a dual
     assert _case_digest(_small_cases()) == (SMALL_DIGEST, 452)
-    assert _case_digest(_larger_cases()) == (LARGER_DIGEST, 433)
+    assert _case_digest(_degree_ranges(LARGER_CASES)) == (LARGER_DIGEST, 433)
+    assert _case_digest(_degree_ranges(PRUNED_CASES)) == (PRUNED_DIGEST, 905)
+
+
+def test_rows_through_a_zero_weight_pair_to_zero():
+    # the kernel drops every tableau whose operator prefix lowers to a weight
+    # of multiplicity 0: that prefix vector lies in the radical, and so does
+    # every lowering of it, so the dropped vector's Gram row is zero mod p
+    dropped = 0
+    for p in (2, 3):
+        for n in range(1, 5):
+            for lam in partitions_up_to(10, max_len=n):
+                chi, _ = _simple_char_by_gram(lam, p, n, 10**6)
+                zeros = set(_dominated(lam, n)) - set(chi.coeffs)
+                w = _width(transpose(lam))
+                for nu in _dominated(lam, n):
+                    rows = _tableau_vectors(lam, nu, p, n)
+                    for ops, row in zip(_tableau_operators(lam, nu), rows):
+                        weight = list(lam) + [0] * (n - len(lam))
+                        through = False
+                        for r, j, t in ops[:-1]:
+                            weight[r - 1] -= t
+                            weight[j - 1] += t
+                            through = through or partition(sorted(weight, reverse=True)) in zeros
+                        if through:
+                            dropped += 1
+                            for other in rows:
+                                pair = sum(_orbit_size(o, w) * c * other.get(o, 0) for o, c in row.items())
+                                assert pair % p == 0, (lam, nu, ops, p)
+    assert dropped == 940  # the rows through a zero weight over these lam
 
 
 def test_tableau_operators_match_unpruned_peel():
@@ -979,7 +1014,7 @@ def test_budget_counts_a_lowerings_move_table_before_it_is_built():
     _moves.cache_clear()
 
 
-def test_table_cache_and_persistence(tmp_path):
+def test_table_cache_and_persistence(tmp_path, monkeypatch):
     tab = SimpleTable(3, 2)
     for lam in partitions_up_to(6, max_len=2):
         tab.char(lam)
@@ -991,8 +1026,14 @@ def test_table_cache_and_persistence(tmp_path):
     path = tmp_path / "chars.jsonl"
     tab.save(path)
     fresh = SimpleTable(3, 2)
+    parsed = []
+    monkeypatch.setattr(oracle, "partition", lambda parts: parsed.append(parts) or partition(parts))
     assert fresh.load(path) == len(tab.cache)
     assert fresh.cache == tab.cache
+    # one parse per record's lambda and one per weight key, however many
+    # records list it
+    keys = [k for line in path.read_text().splitlines() for k in json.loads(line)["char"]]
+    assert len(parsed) == len(tab.cache) + len(set(keys)) and len(set(keys)) < len(keys)
     # reloaded table serves from cache without recomputation
     assert fresh.char((3, 2)) == tab.char((3, 2))
 

@@ -167,6 +167,7 @@ def test_fast_tier_configs_present():
     for name, configs in FAST_TIER.items():
         assert EXTENDED_TIER[name][: len(configs)] == configs, name
     frontier = {(3, 3, 24), (5, 3, 16), (3, 4, 14), (3, 4, 18), (5, 4, 16), (2, 5, 10), (3, 5, 12), (2, 6, 8)}
+    frontier |= {(2, 4, 24), (2, 6, 14)}
     assert frontier <= set(EXTENDED_TIER["thm-2good"])
     assert {(7, 3, 39), (3, 5, 25)} <= set(EXTENDED_TIER["thm-21special"])
 
